@@ -46,15 +46,16 @@ struct Row {
   int pipeline = 1;
   double kops = 0;
   // Data-node-observed latency for the row, gathered over every node the
-  // mode touches via LATENCY HISTOGRAM. cnt sums node-side commands (one
-  // scatter–gather MGET/MSET sub-batch counts once); percentiles take the
+  // mode touches via LATENCY HISTOGRAM. cnt sums node-side commands (a
+  // coalesced train counts each of its commands); percentiles take the
   // per-node max — the straggler bound on the gather.
   ServerLatency server;
 };
 
-/// The node-side histograms a row's traffic can land on: raw pipelines
-/// coalesce into the get/set histograms, the smart client and proxy send
-/// MGET/MSET sub-batches.
+/// The node-side histograms a row's traffic can land on: raw pipelines,
+/// and the smart client's and proxy's per-node sub-batches of single-key
+/// GETs/SETs, coalesce into the get/set histograms; mget/mset catch
+/// explicit multi-key commands.
 std::vector<std::string> NodeCmds(const std::string& op) {
   return op == "get" ? std::vector<std::string>{"get", "mget"}
                      : std::vector<std::string>{"set", "mset"};

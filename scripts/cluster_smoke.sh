@@ -96,9 +96,21 @@ echo "smoke: $KEYS keys split $N1_KEYS/$N2_KEYS, replica caught up"
 # --- YCSB through both cluster paths. ---
 "$YCSB" --workload A --records 5000 --ops 5000 --batch 16 \
   --cluster "127.0.0.1:$CP" | grep -q "run " || fail "smart-client YCSB"
+info_field() { # info_field <port> <key>
+  "$CLI" -p "$1" INFO | tr -d '\r"' | grep -m1 "^$2:" | cut -d: -f2
+}
+N2_CMDS0=$(info_field "$N2" total_commands_processed)
+N2_BATCHES0=$(info_field "$N2" dispatched_batches)
 "$YCSB" --workload A --records 5000 --ops 5000 --batch 16 \
   --remote "127.0.0.1:$PP" | grep -q "run " || fail "proxy YCSB"
 echo "smoke: YCSB-A over smart client and proxy OK"
+# The proxy pipelines each client batch per node: n2 must see several
+# commands per upstream batch, not one at a time.
+N2_CMDS=$(( $(info_field "$N2" total_commands_processed) - N2_CMDS0 ))
+N2_BATCHES=$(( $(info_field "$N2" dispatched_batches) - N2_BATCHES0 ))
+[ "$N2_BATCHES" -gt 0 ] && [ "$N2_CMDS" -ge "$((2 * N2_BATCHES))" ] || \
+  fail "proxy sent n2 $N2_CMDS commands in $N2_BATCHES batches (< 2 per batch)"
+echo "smoke: proxy -> n2 $N2_CMDS commands in $N2_BATCHES batches"
 
 # --- Kill a master; the replica must take over with no lost smoke keys. ---
 kill -9 "$N1_PID"

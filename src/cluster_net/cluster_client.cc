@@ -2,6 +2,7 @@
 #include "common/mutex.h"
 #include "common/perf_context.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,15 +10,17 @@ namespace tierbase::cluster_net {
 
 namespace {
 
-/// Internal retry marker: the reply says our routing snapshot is stale
-/// (-MOVED from a node with a newer epoch, -READONLY from a not-yet
-/// promoted replica, -CLUSTERDOWN). Busy never escapes to callers.
-Status StaleRouteMarker(const std::string& msg) { return Status::Busy(msg); }
-
+/// The reply says our routing snapshot is stale: -MOVED from a node with a
+/// newer epoch, -READONLY from a not-yet promoted replica, -CLUSTERDOWN.
 bool IsStaleRouteReply(const server::RespValue& reply) {
   return reply.IsError() && (reply.str.rfind("MOVED", 0) == 0 ||
                              reply.str.rfind("READONLY", 0) == 0 ||
                              reply.str.rfind("CLUSTERDOWN", 0) == 0);
+}
+
+/// What a KvEngine-shaped wrapper returns for an error reply.
+Status ReplyError(const server::RespValue& reply) {
+  return Status::InvalidArgument(reply.str);
 }
 
 uint64_t ParseInfoField(const std::string& info, const char* field) {
@@ -151,131 +154,30 @@ server::Client* NetClusterClient::MasterConnLocked(const std::string& shard,
   return raw;
 }
 
-template <typename Op>
-Status NetClusterClient::WithRetriesLocked(const Slice& key, Op op) {
-  Status last = Status::Unavailable("empty cluster");
-  common::RetryState retry(options_.retry, options_.clock, options_.seed);
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    if (attempt > 0) BackoffLocked(&retry);
-    std::string shard = router_.Route(key);
-    if (shard.empty()) {
-      last = Status::Unavailable("no shards in the ring");
-      Status r = RefreshRoutingLocked();
-      if (!r.ok()) return r;
-      continue;
-    }
-    Status why;
-    std::string node_id;
-    bool fast_fail = false;
-    server::Client* conn = MasterConnLocked(shard, &why, &node_id, &fast_fail);
-    if (conn == nullptr) {
-      last = why;
-      // Breaker open: fail the op now. Reporting/refreshing again would
-      // just churn the coordinator — the breaker's half-open probe is the
-      // designated way back.
-      if (fast_fail) return last;
-      if (!node_id.empty()) ReportFailureLocked(node_id);
-      RefreshRoutingLocked();
-      continue;
-    }
-    Status s = op(conn);
-    if (s.IsIOError() || s.IsTimedOut()) {
-      // Connection-level failure: the node is likely down.
-      last = s;
-      BreakerLocked(node_id)->RecordFailure();
-      ReportFailureLocked(node_id);
-      RefreshRoutingLocked();
-      continue;
-    }
-    // The node answered — that's breaker success even if the answer was
-    // "stale route" or an application error.
-    BreakerLocked(node_id)->RecordSuccess();
-    if (s.IsBusy()) {
-      // Stale route (-MOVED / -READONLY): refresh, no failure report.
-      last = Status::Unavailable(s.message());
-      ++stats_.moved_redirects;
-      RefreshRoutingLocked();
-      continue;
-    }
-    return s;
-  }
-  return last;
-}
-
-Status NetClusterClient::Set(const Slice& key, const Slice& value) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"SET", key, value}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    return Status::OK();
-  });
-}
-
-Status NetClusterClient::Get(const Slice& key, std::string* value) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"GET", key}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    if (reply.IsNull()) return Status::NotFound("");
-    *value = std::move(reply.str);
-    return Status::OK();
-  });
-}
-
-Status NetClusterClient::Delete(const Slice& key) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    server::RespValue reply;
-    TIERBASE_RETURN_IF_ERROR(conn->Call({"DEL", key}, &reply));
-    if (IsStaleRouteReply(reply)) return StaleRouteMarker(reply.str);
-    if (reply.IsError()) return Status::InvalidArgument(reply.str);
-    return Status::OK();
-  });
-}
-
-Status NetClusterClient::Forward(const std::vector<Slice>& args,
-                                 const Slice& key,
-                                 server::RespValue* reply) {
-  common::MutexLock lock(&mu_);
-  return WithRetriesLocked(key, [&](server::Client* conn) {
-    TIERBASE_RETURN_IF_ERROR(conn->Call(args, reply));
-    if (IsStaleRouteReply(*reply)) return StaleRouteMarker(reply->str);
-    // Other error replies (WRONGTYPE, arity) relay verbatim to the caller.
-    return Status::OK();
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Scatter–gather batches.
-// ---------------------------------------------------------------------------
-
-void NetClusterClient::MultiGet(const std::vector<Slice>& keys,
-                                std::vector<std::string>* values,
-                                std::vector<Status>* statuses) {
-  values->assign(keys.size(), std::string());
-  statuses->assign(keys.size(), Status::Unavailable("not attempted"));
-  if (keys.empty()) return;
+void NetClusterClient::ForwardBatch(
+    const std::vector<std::vector<Slice>>& cmds, const std::vector<Slice>& keys,
+    std::vector<server::RespValue>* replies, std::vector<Status>* statuses) {
+  replies->assign(cmds.size(), server::RespValue());
+  statuses->assign(cmds.size(), Status::Unavailable("not attempted"));
+  if (cmds.empty()) return;
   metrics::ScopedPerfStage fanout_stage(metrics::PerfContext::kNetFanout);
   common::MutexLock lock(&mu_);
 
-  std::vector<bool> pending(keys.size(), true);
+  // Indices still to send, ascending: a retry re-sends a node's failed
+  // tail in caller order.
+  std::vector<size_t> pending(cmds.size());
+  for (size_t i = 0; i < pending.size(); ++i) pending[i] = i;
+  common::RetryState retry(options_.retry, options_.clock, options_.seed);
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    // Plan: per healthy-master node, the pending key indices it owns.
+    if (attempt > 0) BackoffLocked(&retry);
+    // Plan: per healthy-master node, the pending commands it owns.
     struct Group {
       server::Client* conn;
-      std::string node_id;
       std::vector<size_t> indices;
     };
-    std::map<std::string, Group> groups;
-    bool any_pending = false;
-    bool need_refresh = false;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!pending[i]) continue;
-      any_pending = true;
+    std::map<std::string, Group> groups;  // By node id.
+    std::vector<size_t> again;  // Retried after a routing refresh.
+    for (size_t i : pending) {
       std::string shard = router_.Route(keys[i]);
       Status why;
       std::string node_id;
@@ -288,198 +190,152 @@ void NetClusterClient::MultiGet(const std::vector<Slice>& keys,
         (*statuses)[i] = shard.empty()
                              ? Status::Unavailable("no shards in the ring")
                              : why;
-        if (fast_fail) {
-          // Breaker open: this key fails fast and finally; the other
-          // shards' keys in the batch proceed untouched.
-          pending[i] = false;
-          continue;
-        }
+        // Breaker open: this command fails fast and finally. Reporting or
+        // refreshing again would just churn the coordinator; the breaker's
+        // half-open probe is the designated way back. Other nodes'
+        // commands proceed untouched.
+        if (fast_fail) continue;
         if (!node_id.empty()) ReportFailureLocked(node_id);
-        need_refresh = true;
+        again.push_back(i);
         continue;
       }
       Group& g = groups[node_id];
       g.conn = conn;
-      g.node_id = node_id;
       g.indices.push_back(i);
     }
-    if (!any_pending) return;
 
-    // Scatter: ship every sub-batch before reading any reply.
-    for (auto& [id, g] : groups) {
-      std::vector<Slice> args;
-      args.reserve(g.indices.size() + 1);
-      args.emplace_back("MGET");
-      for (size_t i : g.indices) args.push_back(keys[i]);
-      g.conn->Append(args);
+    // A connection-level failure (the node is likely down) fails the
+    // node's commands from `from` on.
+    auto fail_tail = [&](const std::string& node_id, Group* g, size_t from,
+                         const Status& s) {
+      for (size_t k = from; k < g->indices.size(); ++k) {
+        (*statuses)[g->indices[k]] = s;
+        again.push_back(g->indices[k]);
+      }
+      BreakerLocked(node_id)->RecordFailure();
+      ReportFailureLocked(node_id);  // Closes g->conn.
+      g->conn = nullptr;
+    };
+
+    // Scatter: ship every node's commands, one flush per node, before
+    // reading any reply, so the nodes execute concurrently.
+    for (auto& [node_id, g] : groups) {
+      for (size_t i : g.indices) g.conn->Append(cmds[i]);
       Status s = g.conn->Flush();
       if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        g.conn = nullptr;
-        need_refresh = true;
+        fail_tail(node_id, &g, 0, s);
         continue;
       }
-      ++stats_.node_batches[g.node_id];
+      ++stats_.node_batches[node_id];
+      stats_.node_commands[node_id] += g.indices.size();
     }
 
-    // Gather.
-    for (auto& [id, g] : groups) {
+    // Gather: each node's replies arrive in the order its commands went.
+    for (auto& [node_id, g] : groups) {
       if (g.conn == nullptr) continue;  // Flush already failed.
-      server::RespValue reply;
       const uint64_t wait_start = Clock::Real()->NowMicros();
-      Status s = g.conn->ReadReply(&reply);
-      stats_.node_fanout_micros[g.node_id] +=
-          Clock::Real()->NowMicros() - wait_start;
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        need_refresh = true;
-        continue;
-      }
-      BreakerLocked(g.node_id)->RecordSuccess();
-      if (IsStaleRouteReply(reply)) {
-        ++stats_.moved_redirects;
-        for (size_t i : g.indices) {
-          (*statuses)[i] = Status::Unavailable(reply.str);
-        }
-        need_refresh = true;
-        continue;
-      }
-      if (reply.type != server::RespValue::Type::kArray ||
-          reply.elements.size() != g.indices.size()) {
-        Status bad = reply.IsError() ? Status::InvalidArgument(reply.str)
-                                     : Status::IOError("malformed MGET reply");
-        for (size_t i : g.indices) {
-          (*statuses)[i] = bad;
-          pending[i] = false;  // Final: a malformed reply will not improve.
-        }
-        continue;
-      }
       for (size_t k = 0; k < g.indices.size(); ++k) {
-        size_t i = g.indices[k];
-        server::RespValue& e = reply.elements[k];
-        if (e.type == server::RespValue::Type::kBulkString) {
-          (*values)[i] = std::move(e.str);
-          (*statuses)[i] = Status::OK();
-        } else {
-          (*statuses)[i] = Status::NotFound("");
+        const size_t i = g.indices[k];
+        server::RespValue& reply = (*replies)[i];
+        Status s = g.conn->ReadReply(&reply);
+        if (!s.ok()) {
+          fail_tail(node_id, &g, k, s);
+          break;
         }
-        pending[i] = false;
+        if (IsStaleRouteReply(reply)) {
+          // -MOVED / -READONLY / -CLUSTERDOWN: refresh, no failure report.
+          ++stats_.moved_redirects;
+          (*statuses)[i] = Status::Unavailable(reply.str);
+          again.push_back(i);
+          continue;
+        }
+        // Other error replies (WRONGTYPE, arity) are the command's answer.
+        (*statuses)[i] = Status::OK();
       }
+      stats_.node_fanout_micros[node_id] +=
+          Clock::Real()->NowMicros() - wait_start;
+      // The node answered: breaker success even for "stale route" or an
+      // application error.
+      if (g.conn != nullptr) BreakerLocked(node_id)->RecordSuccess();
     }
 
-    if (!need_refresh) return;
+    if (again.empty()) return;
+    std::sort(again.begin(), again.end());
+    pending.swap(again);
     RefreshRoutingLocked();
+  }
+}
+
+Status NetClusterClient::Forward(const std::vector<Slice>& args,
+                                 const Slice& key,
+                                 server::RespValue* reply) {
+  std::vector<server::RespValue> replies;
+  std::vector<Status> statuses;
+  ForwardBatch({args}, {key}, &replies, &statuses);
+  *reply = std::move(replies[0]);
+  return statuses[0];
+}
+
+Status NetClusterClient::Set(const Slice& key, const Slice& value) {
+  std::vector<Status> statuses;
+  MultiSet({key}, {value}, &statuses);
+  return statuses[0];
+}
+
+Status NetClusterClient::Get(const Slice& key, std::string* value) {
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  MultiGet({key}, &values, &statuses);
+  if (statuses[0].ok()) *value = std::move(values[0]);
+  return statuses[0];
+}
+
+Status NetClusterClient::Delete(const Slice& key) {
+  server::RespValue reply;
+  TIERBASE_RETURN_IF_ERROR(Forward({"DEL", key}, key, &reply));
+  return reply.IsError() ? ReplyError(reply) : Status::OK();
+}
+
+// The node's CommandTable coalesces a sub-batch's consecutive GETs (SETs)
+// back into one MultiGet (MultiSet) train.
+void NetClusterClient::MultiGet(const std::vector<Slice>& keys,
+                                std::vector<std::string>* values,
+                                std::vector<Status>* statuses) {
+  std::vector<std::vector<Slice>> cmds;
+  cmds.reserve(keys.size());
+  for (const Slice& key : keys) cmds.push_back({"GET", key});
+  std::vector<server::RespValue> replies;
+  ForwardBatch(cmds, keys, &replies, statuses);
+  values->assign(keys.size(), std::string());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const server::RespValue& reply = replies[i];
+    if (!(*statuses)[i].ok()) continue;
+    if (reply.IsError()) {
+      (*statuses)[i] = ReplyError(reply);
+    } else if (reply.IsNull()) {
+      (*statuses)[i] = Status::NotFound("");
+    } else if (reply.type == server::RespValue::Type::kBulkString) {
+      (*values)[i] = std::move(replies[i].str);
+    } else {
+      (*statuses)[i] = Status::IOError("malformed GET reply");
+    }
   }
 }
 
 void NetClusterClient::MultiSet(const std::vector<Slice>& keys,
                                 const std::vector<Slice>& values,
                                 std::vector<Status>* statuses) {
-  statuses->assign(keys.size(), Status::Unavailable("not attempted"));
-  if (keys.empty()) return;
-  metrics::ScopedPerfStage fanout_stage(metrics::PerfContext::kNetFanout);
-  common::MutexLock lock(&mu_);
-
-  std::vector<bool> pending(keys.size(), true);
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    struct Group {
-      server::Client* conn;
-      std::string node_id;
-      std::vector<size_t> indices;
-    };
-    std::map<std::string, Group> groups;
-    bool any_pending = false;
-    bool need_refresh = false;
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!pending[i]) continue;
-      any_pending = true;
-      std::string shard = router_.Route(keys[i]);
-      Status why;
-      std::string node_id;
-      bool fast_fail = false;
-      server::Client* conn =
-          shard.empty()
-              ? nullptr
-              : MasterConnLocked(shard, &why, &node_id, &fast_fail);
-      if (conn == nullptr) {
-        (*statuses)[i] = shard.empty()
-                             ? Status::Unavailable("no shards in the ring")
-                             : why;
-        if (fast_fail) {
-          // Breaker open: this key fails fast and finally; the other
-          // shards' keys in the batch proceed untouched.
-          pending[i] = false;
-          continue;
-        }
-        if (!node_id.empty()) ReportFailureLocked(node_id);
-        need_refresh = true;
-        continue;
-      }
-      Group& g = groups[node_id];
-      g.conn = conn;
-      g.node_id = node_id;
-      g.indices.push_back(i);
+  std::vector<std::vector<Slice>> cmds;
+  cmds.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    cmds.push_back({"SET", keys[i], values[i]});
+  }
+  std::vector<server::RespValue> replies;
+  ForwardBatch(cmds, keys, &replies, statuses);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if ((*statuses)[i].ok() && replies[i].IsError()) {
+      (*statuses)[i] = ReplyError(replies[i]);
     }
-    if (!any_pending) return;
-
-    for (auto& [id, g] : groups) {
-      std::vector<Slice> args;
-      args.reserve(g.indices.size() * 2 + 1);
-      args.emplace_back("MSET");
-      for (size_t i : g.indices) {
-        args.push_back(keys[i]);
-        args.push_back(values[i]);
-      }
-      g.conn->Append(args);
-      Status s = g.conn->Flush();
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        g.conn = nullptr;
-        need_refresh = true;
-        continue;
-      }
-      ++stats_.node_batches[g.node_id];
-    }
-
-    for (auto& [id, g] : groups) {
-      if (g.conn == nullptr) continue;
-      server::RespValue reply;
-      const uint64_t wait_start = Clock::Real()->NowMicros();
-      Status s = g.conn->ReadReply(&reply);
-      stats_.node_fanout_micros[g.node_id] +=
-          Clock::Real()->NowMicros() - wait_start;
-      if (!s.ok()) {
-        for (size_t i : g.indices) (*statuses)[i] = s;
-        BreakerLocked(g.node_id)->RecordFailure();
-        ReportFailureLocked(g.node_id);
-        need_refresh = true;
-        continue;
-      }
-      BreakerLocked(g.node_id)->RecordSuccess();
-      if (IsStaleRouteReply(reply)) {
-        ++stats_.moved_redirects;
-        for (size_t i : g.indices) {
-          (*statuses)[i] = Status::Unavailable(reply.str);
-        }
-        need_refresh = true;
-        continue;
-      }
-      Status outcome = reply.IsError() ? Status::InvalidArgument(reply.str)
-                                       : Status::OK();
-      for (size_t i : g.indices) {
-        (*statuses)[i] = outcome;
-        pending[i] = false;
-      }
-    }
-
-    if (!need_refresh) return;
-    RefreshRoutingLocked();
   }
 }
 

@@ -3,17 +3,22 @@
 // routes each key on the shared consistent-hash ring, and keeps one
 // pipelined connection per data node.
 //
-// Batched ops are scatter–gathered: MultiGet/MultiSet split the batch into
-// per-node sub-batches, ship them as MGET/MSET on every node's connection
-// before reading any reply (so the sub-batches execute concurrently server
-// side), then stitch the replies back into caller order.
+// Every operation goes through one scatter–gather core, ForwardBatch: a
+// batch of single-key commands is grouped by owning node, each node's
+// commands are appended to its connection in caller order with one flush
+// per node, and only then are the replies read back, node by node, in
+// order. A batch therefore costs one round trip per node it touches, and
+// the nodes execute their sub-batches concurrently. Get/Set/Delete/Forward
+// are one-command batches; MultiGet/MultiSet send per-key GETs/SETs, which
+// the node's CommandTable coalesces back into one MultiGet/MultiSet train.
 //
 // Staleness and failure handling follow the paper's pull-based refresh
-// protocol: on -MOVED (a node with a newer epoch rejected the key), on
-// connection failure, or on Unavailable, the client reports the failure to
-// the coordinator (CLUSTER FAIL), refreshes its snapshot, and retries —
-// which is how a master kill converges to the promoted replica without any
-// client restart.
+// protocol: on -MOVED (a node with a newer epoch rejected the key),
+// -READONLY or -CLUSTERDOWN the client refreshes its snapshot and retries
+// only the affected commands; on a connection failure it also reports the
+// node to the coordinator (CLUSTER FAIL), and the failed command plus
+// every later one on that connection retry in order. That is how a master
+// kill converges to the promoted replica without any client restart.
 //
 // Thread model: one internal mutex serializes operations (connections are
 // plain blocking sockets). Use one client per runner thread to measure
@@ -92,9 +97,19 @@ class NetClusterClient : public KvEngine {
   /// PING round trip on every cached connection.
   Status WaitIdle() override;
 
-  /// Forwards an arbitrary single-key command to the key's owner with the
-  /// same refresh/retry loop (the proxy relays rich-type commands this
-  /// way). `key` must be one of `args`.
+  /// The scatter–gather core (see file comment). cmds[i] is one whole
+  /// single-key RESP command routed by keys[i]. (*statuses)[i] is OK when
+  /// a node answered; (*replies)[i] then holds its reply verbatim, error
+  /// replies (WRONGTYPE, arity) included. Otherwise the command failed:
+  /// Unavailable (no reachable master, open breaker, stale route after
+  /// the retry budget) or the connection's I/O error.
+  void ForwardBatch(const std::vector<std::vector<Slice>>& cmds,
+                    const std::vector<Slice>& keys,
+                    std::vector<server::RespValue>* replies,
+                    std::vector<Status>* statuses);
+
+  /// One-command ForwardBatch (the relay for any single-key command).
+  /// `key` must be one of `args`.
   Status Forward(const std::vector<Slice>& args, const Slice& key,
                  server::RespValue* reply);
 
@@ -113,6 +128,9 @@ class NetClusterClient : public KvEngine {
     std::map<std::string, std::string> breaker_states;
     /// Scatter–gather sub-batches shipped, per node id.
     std::map<std::string, uint64_t> node_batches;
+    /// Commands shipped in those sub-batches, per node id.
+    /// node_commands / node_batches is the node's commands per round trip.
+    std::map<std::string, uint64_t> node_commands;
     /// Cumulative micros spent waiting on each node's scatter–gather
     /// reply, per node id. fanout_micros / batches is the node's mean
     /// sub-batch latency — the slowest node bounds the whole gather, so a
@@ -145,9 +163,6 @@ class NetClusterClient : public KvEngine {
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
   Status CoordinatorCallLocked(const std::vector<Slice>& args,
                                server::RespValue* reply)
-      EXCLUSIVE_LOCKS_REQUIRED(mu_);
-  template <typename Op>
-  Status WithRetriesLocked(const Slice& key, Op op)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   Options options_;

@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "common/hash.h"
+#include "server/command.h"
 #include "server/resp.h"
 
 namespace tierbase::cluster_net {
@@ -45,7 +46,80 @@ void AppendStatus(std::string* out, const Status& s) {
   server::AppendError(out, "ERR " + s.ToString());
 }
 
+/// How a client command's sub-command replies fold back into its reply.
+enum class Merge : uint8_t {
+  kRelay,  // One sub-command; its reply verbatim.
+  kArray,  // MGET: an array of the GET replies.
+  kOk,     // MSET: +OK once every SET succeeded.
+  kSum,    // DEL, EXISTS: the summed integer replies.
+};
+
+/// One client command: its sub-commands are [first, first + count) of the
+/// segment.
+struct SegmentEntry {
+  Merge merge;
+  size_t first;
+  size_t count;
+};
+
+/// Folds one client command's sub-command replies into its reply.
+void AppendMerged(const SegmentEntry& e,
+                  const std::vector<server::RespValue>& replies,
+                  const std::vector<Status>& statuses, std::string* out) {
+  // A sub-command that failed, or that drew an error other than the one
+  // MGET reads as nil, fails the whole command: a nil or ":N" must never
+  // masquerade as "the unreachable keys did not exist".
+  for (size_t i = e.first; i < e.first + e.count; ++i) {
+    if (!statuses[i].ok()) {
+      AppendStatus(out, statuses[i]);
+      return;
+    }
+    const server::RespValue& r = replies[i];
+    // MGET reads a wrong-type key as nil, like the node's own MGET.
+    const bool nil = e.merge == Merge::kArray && r.IsError() &&
+                     r.str.rfind("WRONGTYPE", 0) == 0;
+    if (r.IsError() && !nil) {
+      server::AppendValue(out, r);
+      return;
+    }
+  }
+  switch (e.merge) {
+    case Merge::kRelay:
+      server::AppendValue(out, replies[e.first]);
+      return;
+    case Merge::kOk:
+      server::AppendSimpleString(out, "OK");
+      return;
+    case Merge::kArray:
+      server::AppendArrayHeader(out, e.count);
+      for (size_t i = e.first; i < e.first + e.count; ++i) {
+        if (replies[i].type == server::RespValue::Type::kBulkString) {
+          server::AppendBulk(out, replies[i].str);
+        } else {
+          server::AppendNullBulk(out);  // Missing or wrong-type.
+        }
+      }
+      return;
+    case Merge::kSum: {
+      int64_t sum = 0;
+      for (size_t i = e.first; i < e.first + e.count; ++i) {
+        sum += replies[i].integer;
+      }
+      server::AppendInteger(out, sum);
+      return;
+    }
+  }
+}
+
 }  // namespace
+
+/// The open segment of one client batch: every keyed command since the
+/// last locally answered one, as single-key sub-commands.
+struct ClusterProxy::Segment {
+  std::vector<std::vector<Slice>> cmds;
+  std::vector<Slice> keys;            // keys[i] routes cmds[i].
+  std::vector<SegmentEntry> entries;  // One per client command.
+};
 
 ClusterProxy::ClusterProxy(Options options) : options_(std::move(options)) {
   if (options_.analytics.enabled) {
@@ -66,8 +140,8 @@ void ClusterProxy::RecordRead(const Slice& key) {
 
 void ClusterProxy::RecordWrite(const Slice& key, size_t value_bytes) {
   if (analytics_ != nullptr) {
-    // The proxy never sees TTLs on the coalesced string path; shape
-    // histograms carry value/key sizes only.
+    // SET's EX/PX options are relayed, not parsed: shape histograms carry
+    // value/key sizes only.
     analytics_->RecordWrite(key, Hash64(key), value_bytes, 0);
   }
 }
@@ -83,7 +157,7 @@ void ClusterProxy::RegisterInstruments() {
                                   "Pipelined batches executed");
   coalesced_ = registry_.AddCounter(
       "Proxy", "proxy_coalesced_commands",
-      "Commands served through cluster-wide scatter-gather trains");
+      "Keyed commands served through pipelined segments");
   registry_.AddCallback(
       "Proxy", "connected_clients", "Connections currently open",
       metrics::MetricType::kGauge,
@@ -141,6 +215,16 @@ void ClusterProxy::RegisterInstruments() {
                         "Node failures reported to the coordinator",
                         metrics::MetricType::kCounter,
                         [this] { return info_stats_.failures_reported; });
+  registry_.AddCallback("Cluster", "proxy_upstream_commands",
+                        "Single-key commands shipped to data nodes",
+                        metrics::MetricType::kCounter, [this] {
+                          uint64_t total = 0;
+                          for (const auto& [node, n] :
+                               info_stats_.node_commands) {
+                            total += n;
+                          }
+                          return total;
+                        });
   // Per-node keys are dynamic (they follow the routing snapshot), so they
   // render as an INFO-only block.
   registry_.AddBlock("Cluster", [this](std::string* out) {
@@ -148,6 +232,11 @@ void ClusterProxy::RegisterInstruments() {
     for (const auto& [node, batches] : info_stats_.node_batches) {
       snprintf(line, sizeof(line), "routed_batches_%s:%" PRIu64 "\r\n",
                node.c_str(), batches);
+      *out += line;
+    }
+    for (const auto& [node, commands] : info_stats_.node_commands) {
+      snprintf(line, sizeof(line), "routed_commands_%s:%" PRIu64 "\r\n",
+               node.c_str(), commands);
       *out += line;
     }
     for (const auto& [node, micros] : info_stats_.node_fanout_micros) {
@@ -244,91 +333,76 @@ void ClusterProxy::ExecuteBatch(const std::vector<server::RespCommand>& cmds,
                                 bool* shutdown_server) {
   batches_->Inc();
   commands_->Inc(cmds.size());
-  size_t i = 0;
-  while (i < cmds.size()) {
-    // A pipelined train of plain GETs (or SETs) becomes one cluster-wide
-    // scatter–gather, the proxy's equivalent of the server's coalescing.
-    if (cmds[i].args.size() == 2 && EqualsUpper(cmds[i].args[0], "GET")) {
-      size_t j = i + 1;
-      while (j < cmds.size() && cmds[j].args.size() == 2 &&
-             EqualsUpper(cmds[j].args[0], "GET")) {
-        ++j;
+  Segment seg;
+  seg.cmds.reserve(cmds.size());
+  seg.keys.reserve(cmds.size());
+  seg.entries.reserve(cmds.size());
+  for (const server::RespCommand& cmd : cmds) {
+    const server::CommandKeys spec =
+        cmd.args.empty() ? server::CommandKeys()
+                         : server::CommandTable::KeysOf(cmd.args[0]);
+    if (spec.layout == server::KeyLayout::kNone ||
+        !spec.ArityOk(cmd.args.size())) {
+      // Answered here: the open segment's replies go first.
+      SendSegment(&seg, out);
+      ExecuteLocal(cmd, spec, out, close_connection, shutdown_server);
+      continue;
+    }
+    const std::vector<Slice>& args = cmd.args;
+    SegmentEntry entry{Merge::kRelay, seg.cmds.size(), 0};
+    if (spec.layout == server::KeyLayout::kFirst) {
+      if (strcmp(spec.name, "GET") == 0) RecordRead(args[1]);
+      if (strcmp(spec.name, "SET") == 0) RecordWrite(args[1], args[2].size());
+      seg.cmds.push_back(args);
+      seg.keys.push_back(args[1]);
+    } else if (spec.layout == server::KeyLayout::kPairs) {  // MSET.
+      entry.merge = Merge::kOk;
+      for (size_t i = 1; i < args.size(); i += 2) {
+        RecordWrite(args[i], args[i + 1].size());
+        seg.cmds.push_back({"SET", args[i], args[i + 1]});
+        seg.keys.push_back(args[i]);
       }
-      if (j - i >= 2) {
-        BatchedGets(cmds, i, j, out);
-        coalesced_->Inc(j - i);
-        i = j;
-        continue;
-      }
-    } else if (cmds[i].args.size() == 3 &&
-               EqualsUpper(cmds[i].args[0], "SET")) {
-      size_t j = i + 1;
-      while (j < cmds.size() && cmds[j].args.size() == 3 &&
-             EqualsUpper(cmds[j].args[0], "SET")) {
-        ++j;
-      }
-      if (j - i >= 2) {
-        BatchedSets(cmds, i, j, out);
-        coalesced_->Inc(j - i);
-        i = j;
-        continue;
+    } else {  // MGET, DEL, EXISTS: one sub-command per key.
+      const bool mget = strcmp(spec.name, "MGET") == 0;
+      entry.merge = mget ? Merge::kArray : Merge::kSum;
+      for (size_t i = 1; i < args.size(); ++i) {
+        if (mget) RecordRead(args[i]);
+        seg.cmds.push_back({mget ? Slice("GET") : args[0], args[i]});
+        seg.keys.push_back(args[i]);
       }
     }
-    ExecuteOne(cmds[i], out, close_connection, shutdown_server);
-    ++i;
+    entry.count = seg.cmds.size() - entry.first;
+    seg.entries.push_back(entry);
   }
+  SendSegment(&seg, out);
 }
 
-void ClusterProxy::BatchedGets(const std::vector<server::RespCommand>& cmds,
-                               size_t begin, size_t end, std::string* out) {
-  std::vector<Slice> keys;
-  keys.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) keys.push_back(cmds[i].args[1]);
-  for (const Slice& key : keys) RecordRead(key);
-  std::vector<std::string> values;
+void ClusterProxy::SendSegment(Segment* seg, std::string* out) {
+  if (seg->entries.empty()) return;
+  std::vector<server::RespValue> replies;
   std::vector<Status> statuses;
   const uint64_t t0 = Clock::Real()->NowMicros();
-  backend_->MultiGet(keys, &values, &statuses);
+  backend_->ForwardBatch(seg->cmds, seg->keys, &replies, &statuses);
   fanout_hist_->Record(Clock::Real()->NowMicros() - t0);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (statuses[i].ok()) {
-      server::AppendBulk(out, values[i]);
-    } else if (statuses[i].IsNotFound()) {
-      server::AppendNullBulk(out);
-    } else {
-      AppendStatus(out, statuses[i]);
-    }
+  coalesced_->Inc(seg->entries.size());
+  for (const SegmentEntry& e : seg->entries) {
+    AppendMerged(e, replies, statuses, out);
   }
+  seg->cmds.clear();
+  seg->keys.clear();
+  seg->entries.clear();
 }
 
-void ClusterProxy::BatchedSets(const std::vector<server::RespCommand>& cmds,
-                               size_t begin, size_t end, std::string* out) {
-  std::vector<Slice> keys, values;
-  keys.reserve(end - begin);
-  values.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    keys.push_back(cmds[i].args[1]);
-    values.push_back(cmds[i].args[2]);
-    RecordWrite(cmds[i].args[1], cmds[i].args[2].size());
-  }
-  std::vector<Status> statuses;
-  const uint64_t t0 = Clock::Real()->NowMicros();
-  backend_->MultiSet(keys, values, &statuses);
-  fanout_hist_->Record(Clock::Real()->NowMicros() - t0);
-  for (const Status& s : statuses) {
-    if (s.ok()) {
-      server::AppendSimpleString(out, "OK");
-    } else {
-      AppendStatus(out, s);
-    }
-  }
-}
-
-void ClusterProxy::ExecuteOne(const server::RespCommand& cmd,
-                              std::string* out, bool* close_connection,
-                              bool* shutdown_server) {
+void ClusterProxy::ExecuteLocal(const server::RespCommand& cmd,
+                                const server::CommandKeys& spec,
+                                std::string* out, bool* close_connection,
+                                bool* shutdown_server) {
   if (cmd.args.empty()) {
     server::AppendError(out, "ERR empty command");
+    return;
+  }
+  if (spec.name != nullptr && !spec.ArityOk(cmd.args.size())) {
+    server::AppendWrongArity(out, spec.name);
     return;
   }
   const Slice& name = cmd.args[0];
@@ -368,116 +442,20 @@ void ClusterProxy::ExecuteOne(const server::RespCommand& cmd,
     server::AppendBulk(out, body);
     return;
   }
-  if (EqualsUpper(name, "ANALYTICS") && argc >= 2 && argc <= 3) {
+  if (EqualsUpper(name, "ANALYTICS")) {
     Analytics(cmd, out);
     return;
   }
-  if (EqualsUpper(name, "HOTKEYS") && argc <= 2) {
+  if (EqualsUpper(name, "HOTKEYS")) {
     HotKeys(cmd, out);
     return;
   }
-  if (EqualsUpper(name, "GET") && argc == 2) {
-    RecordRead(cmd.args[1]);
-    std::string value;
-    Status s = backend_->Get(cmd.args[1], &value);
-    if (s.ok()) {
-      server::AppendBulk(out, value);
-    } else if (s.IsNotFound()) {
-      server::AppendNullBulk(out);
-    } else {
-      AppendStatus(out, s);
-    }
-    return;
-  }
-  if (EqualsUpper(name, "SET") && argc == 3) {
-    RecordWrite(cmd.args[1], cmd.args[2].size());
-    Status s = backend_->Set(cmd.args[1], cmd.args[2]);
-    if (s.ok()) {
-      server::AppendSimpleString(out, "OK");
-    } else {
-      AppendStatus(out, s);
-    }
-    return;
-  }
-  if (EqualsUpper(name, "MGET") && argc >= 2) {
-    std::vector<Slice> keys(cmd.args.begin() + 1, cmd.args.end());
-    for (const Slice& key : keys) RecordRead(key);
-    std::vector<std::string> values;
-    std::vector<Status> statuses;
-    backend_->MultiGet(keys, &values, &statuses);
-    // Nil is strictly "no such key": a shard that stayed unreachable must
-    // surface as an error, not as a phantom miss.
-    for (const Status& s : statuses) {
-      if (!s.ok() && !s.IsNotFound()) {
-        AppendStatus(out, s);
-        return;
-      }
-    }
-    server::AppendArrayHeader(out, keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (statuses[i].ok()) {
-        server::AppendBulk(out, values[i]);
-      } else {
-        server::AppendNullBulk(out);
-      }
-    }
-    return;
-  }
-  if (EqualsUpper(name, "MSET") && argc >= 3 && argc % 2 == 1) {
-    std::vector<Slice> keys, values;
-    for (size_t i = 1; i < argc; i += 2) {
-      keys.push_back(cmd.args[i]);
-      values.push_back(cmd.args[i + 1]);
-      RecordWrite(cmd.args[i], cmd.args[i + 1].size());
-    }
-    std::vector<Status> statuses;
-    backend_->MultiSet(keys, values, &statuses);
-    for (const Status& s : statuses) {
-      if (!s.ok()) {
-        AppendStatus(out, s);
-        return;
-      }
-    }
-    server::AppendSimpleString(out, "OK");
-    return;
-  }
-  if (EqualsUpper(name, "DEL") && argc >= 2) {
-    // DEL fans out per owner; the reply sums the per-node removal counts.
-    // An unreachable shard fails the whole command — ":N" must never
-    // masquerade as "the other keys did not exist".
-    int64_t removed = 0;
-    for (size_t i = 1; i < argc; ++i) {
-      server::RespValue reply;
-      Status s =
-          backend_->Forward({"DEL", cmd.args[i]}, cmd.args[i], &reply);
-      if (!s.ok()) {
-        AppendStatus(out, s);
-        return;
-      }
-      if (reply.type == server::RespValue::Type::kInteger) {
-        removed += reply.integer;
-      }
-    }
-    server::AppendInteger(out, removed);
-    return;
-  }
-
-  // Any other single-key command (INCR, EXPIRE, TTL, EXISTS, HSET, HGET,
-  // LPUSH, LRANGE, ZADD, ZRANGE, ...) forwards verbatim to the key's
-  // owner and relays the reply.
-  if (argc >= 2) {
-    server::RespValue reply;
-    Status s = backend_->Forward(cmd.args, cmd.args[1], &reply);
-    if (!s.ok()) {
-      AppendStatus(out, s);
-      return;
-    }
-    server::AppendValue(out, reply);
-    return;
-  }
-  std::string msg = "ERR unknown command '";
+  // Keyless commands (SCAN, DBSIZE, FLUSHALL, SLOWLOG, LATENCY, PERF,
+  // CLUSTER, WAIT, ...) have no owner to route to; answering with one
+  // arbitrary node's view would be wrong.
+  std::string msg = "ERR '";
   msg.append(name.data(), std::min<size_t>(name.size(), 64));
-  msg += "'";
+  msg += "' is not supported through the proxy";
   server::AppendError(out, msg);
 }
 

@@ -1,14 +1,20 @@
 // ClusterProxy: the RESP front end for naive clients. Anything that speaks
 // plain Redis protocol — redis-cli, the bundled Client/RemoteEngine, the
 // YCSB runner's --remote mode — connects to the proxy as if it were a
-// single server; the proxy routes per key and scatter–gathers batches
-// across the cluster server-side through an embedded NetClusterClient.
+// single server; the proxy routes per key through an embedded
+// NetClusterClient.
 //
-// The proxy reuses the server's poll(2) event loop and executor: pipelined
-// command batches arrive as one dispatch, runs of GETs/SETs (and explicit
-// MGET/MSET) become cluster MultiGet/MultiSet — so a client that pipelines
-// N reads pays one scatter–gather round instead of N routed round trips.
-// Rich-type and TTL commands forward verbatim to the owning node.
+// The proxy rides the server's multi-reactor event loop and executor: a
+// client's pipelined commands arrive as one batch. Every keyed command
+// (the server's command table says which arguments are keys) joins the
+// batch's open segment; MGET/MSET/DEL/EXISTS join as one sub-command per
+// key, and their replies merge back (an array, +OK, a summed integer). A
+// command the proxy answers itself (PING, INFO, METRICS, ...) first sends
+// the open segment, so replies keep client order. Sending a segment is
+// one NetClusterClient::ForwardBatch: one pipelined round trip per node it
+// touches, however the batch mixes its commands. Keyless data commands
+// (SCAN, DBSIZE, FLUSHALL, SLOWLOG, ...) have no single owner and are
+// refused with "-ERR '<name>' is not supported through the proxy".
 //
 // Smart-client vs proxy trade-off (README "Running a cluster"): the smart
 // client saves a network hop and spreads client-side, the proxy
@@ -27,6 +33,7 @@
 #include "analytics/workload_analytics.h"
 #include "cluster_net/cluster_client.h"
 #include "common/metrics.h"
+#include "server/command.h"
 #include "server/event_loop.h"
 #include "threading/elastic_executor.h"
 
@@ -85,12 +92,15 @@ class ClusterProxy {
   void ExecuteBatch(const std::vector<server::RespCommand>& cmds,
                     std::string* out, bool* close_connection,
                     bool* shutdown_server);
-  void ExecuteOne(const server::RespCommand& cmd, std::string* out,
-                  bool* close_connection, bool* shutdown_server);
-  void BatchedGets(const std::vector<server::RespCommand>& cmds, size_t begin,
-                   size_t end, std::string* out);
-  void BatchedSets(const std::vector<server::RespCommand>& cmds, size_t begin,
-                   size_t end, std::string* out);
+  struct Segment;
+  /// Ships the open segment as one ForwardBatch, appends its merged
+  /// replies in order, and empties it.
+  void SendSegment(Segment* seg, std::string* out);
+  /// A command the proxy answers itself: PING, INFO, arity errors, the
+  /// keyless-command error, ...
+  void ExecuteLocal(const server::RespCommand& cmd,
+                    const server::CommandKeys& spec, std::string* out,
+                    bool* close_connection, bool* shutdown_server);
   void Info(std::string* out);
   void Analytics(const server::RespCommand& cmd, std::string* out);
   void HotKeys(const server::RespCommand& cmd, std::string* out);

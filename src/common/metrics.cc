@@ -53,49 +53,74 @@ LatencyHistogram::Stripe& LatencyHistogram::MyStripe() {
 void LatencyHistogram::Record(uint64_t micros, uint64_t count) {
   if (count == 0) return;
   Stripe& s = MyStripe();
-  s.buckets[static_cast<size_t>(Histogram::BucketFor(micros))].fetch_add(
-      count, std::memory_order_relaxed);
-  s.count.fetch_add(count, std::memory_order_relaxed);
   s.sum.fetch_add(micros * count, std::memory_order_relaxed);
   uint64_t prev = s.max.load(std::memory_order_relaxed);
   while (micros > prev && !s.max.compare_exchange_weak(
                               prev, micros, std::memory_order_relaxed)) {
   }
+  s.count.fetch_add(count, std::memory_order_relaxed);
+  // Publishes the sum and max above to any reader that sees this bucket.
+  s.buckets[static_cast<size_t>(Histogram::BucketFor(micros))].fetch_add(
+      count, std::memory_order_release);
+}
+
+LatencyHistogram::Totals LatencyHistogram::ReadTotals() const {
+  Totals t;
+  for (int si = 0; si < kStripes; ++si) {
+    const Stripe& s = stripes_[si];
+    for (size_t i = 0; i < t.buckets.size(); ++i) {
+      t.buckets[i] += s.buckets[i].load(std::memory_order_acquire);
+    }
+  }
+  for (int si = 0; si < kStripes; ++si) {
+    const Stripe& s = stripes_[si];
+    t.count += s.count.load(std::memory_order_relaxed);
+    t.sum += s.sum.load(std::memory_order_relaxed);
+    t.max = std::max(t.max, s.max.load(std::memory_order_relaxed));
+  }
+  return t;
 }
 
 Histogram LatencyHistogram::Snapshot() const {
-  Histogram h;
-  uint64_t sum = 0;
-  uint64_t max = 0;
-  for (int si = 0; si < kStripes; ++si) {
-    const Stripe& s = stripes_[si];
-    for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-      h.AddBucketCount(
-          i, s.buckets[static_cast<size_t>(i)].load(std::memory_order_relaxed));
+  common::MutexLock lock(&mu_);
+  Totals t = ReadTotals();
+  if (baseline_ != nullptr) {
+    // Every atomic only grows, and the baseline was read earlier.
+    for (size_t i = 0; i < t.buckets.size(); ++i) {
+      t.buckets[i] -= baseline_->buckets[i];
     }
-    sum += s.sum.load(std::memory_order_relaxed);
-    max = std::max(max, s.max.load(std::memory_order_relaxed));
+    t.sum -= baseline_->sum;
   }
-  h.SetExactTotals(sum, max);
+  Histogram h;
+  // The true sum of the counted samples lies between their buckets' edges;
+  // a sum read beside in-flight samples (or across a Reset) is clamped
+  // into that range, as is the max into the top counted bucket.
+  uint64_t lo = 0, hi = 0, top = 0;
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    const uint64_t n = t.buckets[static_cast<size_t>(i)];
+    if (n == 0) continue;
+    h.AddBucketCount(i, n);
+    top = Histogram::BucketUpperEdge(i);
+    lo += (i == 0 ? 0 : Histogram::BucketUpperEdge(i - 1) + 1) * n;
+    hi += top * n;
+  }
+  h.SetExactTotals(std::clamp(t.sum, lo, hi), std::min(t.max, top));
   return h;
 }
 
 uint64_t LatencyHistogram::count() const {
+  common::MutexLock lock(&mu_);
   uint64_t n = 0;
   for (int si = 0; si < kStripes; ++si) {
     n += stripes_[si].count.load(std::memory_order_relaxed);
   }
-  return n;
+  return baseline_ != nullptr ? n - baseline_->count : n;
 }
 
 void LatencyHistogram::Reset() {
-  for (int si = 0; si < kStripes; ++si) {
-    Stripe& s = stripes_[si];
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-  }
+  common::MutexLock lock(&mu_);
+  Totals t = ReadTotals();
+  baseline_ = std::make_unique<Totals>(t);
 }
 
 MetricsRegistry::Section* MetricsRegistry::SectionLocked(

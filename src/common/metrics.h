@@ -71,9 +71,13 @@ class Gauge {
 /// Thread-safe latency histogram over microsecond values.
 ///
 /// Writers pick a stripe by thread (round-robin at first use) and bump
-/// that stripe's relaxed atomics; concurrent writers on different threads
-/// touch different cache lines. Snapshot() folds every stripe into a plain
-/// Histogram; it may miss in-flight increments but never tears a value.
+/// that stripe's atomics; concurrent writers on different threads touch
+/// different cache lines. Each Record() publishes its sum and max before
+/// its bucket (release), and Snapshot() acquires the buckets before it
+/// reads sum and max, so every sample a snapshot counts has its sum and
+/// max in it. Snapshot() may miss in-flight samples but never tears one.
+/// Readers never store into the writers' atomics: Reset() keeps a baseline
+/// that later reads subtract.
 class LatencyHistogram {
  public:
   LatencyHistogram();
@@ -81,18 +85,20 @@ class LatencyHistogram {
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
-  /// Records `count` observations of `micros`. Lock-free: one bucket
-  /// fetch_add plus count/sum/max maintenance on the caller's stripe.
+  /// Records `count` observations of `micros`. Lock-free: sum/max/count
+  /// maintenance plus one bucket fetch_add on the caller's stripe.
   void Record(uint64_t micros, uint64_t count = 1);
 
-  /// Folds all stripes into a plain Histogram for percentile queries.
+  /// Folds all stripes (less the Reset() baseline) into a plain Histogram
+  /// for percentile queries. Sum and max are exact without concurrent
+  /// writers; with them, they are kept within the counted buckets' edges.
   Histogram Snapshot() const;
 
   uint64_t count() const;
 
-  /// Zeroes every stripe (LATENCY RESET). Racy against concurrent
-  /// writers by design — a reset during traffic loses the ops recorded
-  /// while it runs, nothing more.
+  /// LATENCY RESET: later reads count only samples recorded after it.
+  /// Safe against concurrent writers; a sample in flight during the reset
+  /// may land on either side of it.
   void Reset();
 
  private:
@@ -105,11 +111,24 @@ class LatencyHistogram {
     std::atomic<uint64_t> max{0};
   };
 
+  /// Stripe totals folded at one point in time.
+  struct Totals {
+    std::array<uint64_t, Histogram::kNumBuckets> buckets{};
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    uint64_t max = 0;
+  };
+
   Stripe& MyStripe();
+  Totals ReadTotals() const;
 
   // Heap-allocated: each stripe is ~8 KiB of buckets; keeping them out of
   // line lets components embed histogram pointers freely.
   std::unique_ptr<Stripe[]> stripes_;
+
+  mutable common::Mutex mu_;
+  // Totals at the last Reset(); null until the first one.
+  std::unique_ptr<Totals> baseline_ GUARDED_BY(mu_);
 };
 
 /// Registry entry type, also the Prometheus # TYPE.

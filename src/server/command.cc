@@ -51,13 +51,6 @@ std::string LowerName(const char* name) {
   return out;
 }
 
-void AppendWrongArity(std::string* out, const char* upper_name) {
-  std::string msg = "ERR wrong number of arguments for '";
-  msg += LowerName(upper_name);
-  msg += "' command";
-  AppendError(out, msg);
-}
-
 /// Strict signed-integer parse of a RESP argument.
 bool ParseArgInt(const Slice& arg, int64_t* out) {
   if (arg.empty() || arg.size() > 20) return false;
@@ -103,6 +96,13 @@ constexpr uint64_t kMicrosPerSecond = 1'000'000;
 uint64_t NowMicros() { return Clock::Real()->NowMicros(); }
 
 }  // namespace
+
+void AppendWrongArity(std::string* out, const char* upper_name) {
+  std::string msg = "ERR wrong number of arguments for '";
+  msg += LowerName(upper_name);
+  msg += "' command";
+  AppendError(out, msg);
+}
 
 void AppendStatusError(std::string* out, const Status& s) {
   if (s.IsInvalidArgument() &&
@@ -161,6 +161,25 @@ const CommandTable::Spec CommandTable::kSpecs[] = {
 };
 const size_t CommandTable::kNumSpecs =
     sizeof(CommandTable::kSpecs) / sizeof(CommandTable::kSpecs[0]);
+
+CommandKeys CommandTable::KeysOf(const Slice& name) {
+  CommandKeys keys;
+  char upper[16];
+  if (!UpperName(name, upper, sizeof(upper))) return keys;
+  for (size_t si = 0; si < kNumSpecs; ++si) {
+    const Spec& entry = kSpecs[si];
+    if (strcmp(upper, entry.name) != 0) continue;
+    keys.name = entry.name;
+    keys.min_argc = entry.min_argc;
+    keys.max_argc = entry.max_argc;
+    keys.layout = (entry.flags & kFlagKey)       ? KeyLayout::kFirst
+                  : (entry.flags & kFlagKeysAll) ? KeyLayout::kAll
+                  : (entry.flags & kFlagKeysPairs) ? KeyLayout::kPairs
+                                                   : KeyLayout::kNone;
+    break;
+  }
+  return keys;
+}
 
 CommandTable::CommandTable(TierBase* db) : db_(db) { RegisterInstruments(); }
 

@@ -59,8 +59,34 @@ struct BatchTiming {
   uint64_t dispatched_at_micros = 0;
 };
 
+/// Where a table command's keys sit, from its spec flags: the routing
+/// view front ends that forward by key (the proxy) use instead of a
+/// command list of their own.
+enum class KeyLayout : uint8_t {
+  kNone,   // Keyless, answered locally, or not a table command.
+  kFirst,  // args[1] (GET, SET, INCR, HSET, ...).
+  kAll,    // args[1..] (MGET, DEL, EXISTS).
+  kPairs,  // args[1], args[3], ... (MSET).
+};
+
+struct CommandKeys {
+  const char* name = nullptr;  // Upper-case table name; null if unknown.
+  KeyLayout layout = KeyLayout::kNone;
+  size_t min_argc = 0;
+  size_t max_argc = 0;  // 0 = unbounded.
+
+  /// Arity (and MSET's key/value pairing) as the table checks it.
+  bool ArityOk(size_t argc) const {
+    return argc >= min_argc && (max_argc == 0 || argc <= max_argc) &&
+           (layout != KeyLayout::kPairs || argc % 2 == 1);
+  }
+};
+
 class CommandTable {
  public:
+  /// Looks `name` up (any case) in the dispatch table.
+  static CommandKeys KeysOf(const Slice& name);
+
   /// `db` is not owned and must outlive the table.
   explicit CommandTable(TierBase* db);
 
@@ -207,6 +233,9 @@ class CommandTable {
   // registry renders, which the registry serializes.
   TierBase::Stats info_stats_;
 };
+
+/// Appends "-ERR wrong number of arguments for '<name>' command".
+void AppendWrongArity(std::string* out, const char* upper_name);
 
 /// Appends a `-...` RESP error translated from a Status (WrongType maps to
 /// -WRONGTYPE, Unavailable to -UNAVAILABLE, Busy to -BUSY, everything else

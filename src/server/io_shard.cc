@@ -277,7 +277,17 @@ void IoShard::DrainWakeupChannel() {
 void IoShard::AdoptConnection(int fd) {
   {
     common::MutexLock lock(&pending_mu_);
-    pending_accepts_.push_back(fd);
+    if (!adoption_closed_) {
+      pending_accepts_.push_back(fd);
+      fd = -1;
+    }
+  }
+  if (fd >= 0) {
+    // The acceptor raced this shard's exit: release the connection rather
+    // than leave its client waiting on a socket nobody serves.
+    close(fd);
+    parent_->ReleaseConnection();
+    return;
   }
   Notify();
 }
@@ -656,6 +666,7 @@ void IoShard::Run() {
   {
     common::MutexLock lock(&pending_mu_);
     pending.swap(pending_accepts_);
+    adoption_closed_ = true;
   }
   for (int fd : pending) {
     close(fd);

@@ -276,6 +276,9 @@ class IoShard {
   // Accept hand-off: the acceptor thread parks admitted sockets here.
   common::Mutex pending_mu_;
   std::vector<int> pending_accepts_ GUARDED_BY(pending_mu_);
+  // Set once this shard's loop has exited: a later hand-off is refused
+  // at the door, since no loop will ever drain it.
+  bool adoption_closed_ GUARDED_BY(pending_mu_) = false;
 
   // Completion queue: connections whose batch finished (loop scans their
   // slots).

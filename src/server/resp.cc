@@ -9,6 +9,21 @@ namespace server {
 
 namespace {
 
+/// "<prefix><n>\r\n" without snprintf: every bulk and array header of
+/// every request and reply goes through here.
+void AppendLengthHeader(std::string* out, char prefix, size_t n) {
+  char buf[24];
+  char* p = buf + sizeof(buf);
+  *--p = '\n';
+  *--p = '\r';
+  do {
+    *--p = static_cast<char>('0' + n % 10);
+    n /= 10;
+  } while (n != 0);
+  *--p = prefix;
+  out->append(p, static_cast<size_t>(buf + sizeof(buf) - p));
+}
+
 /// Finds "\r\n" starting at `pos`; returns the index of '\r' or npos.
 size_t FindCrlf(const char* buf, size_t len, size_t pos) {
   while (pos + 1 < len) {
@@ -173,9 +188,7 @@ void AppendInteger(std::string* out, int64_t v) {
 }
 
 void AppendBulk(std::string* out, const Slice& s) {
-  char buf[32];
-  int n = snprintf(buf, sizeof(buf), "$%zu\r\n", s.size());
-  out->append(buf, static_cast<size_t>(n));
+  AppendLengthHeader(out, '$', s.size());
   out->append(s.data(), s.size());
   out->append("\r\n");
 }
@@ -183,9 +196,7 @@ void AppendBulk(std::string* out, const Slice& s) {
 void AppendNullBulk(std::string* out) { out->append("$-1\r\n"); }
 
 void AppendArrayHeader(std::string* out, size_t n) {
-  char buf[32];
-  int len = snprintf(buf, sizeof(buf), "*%zu\r\n", n);
-  out->append(buf, static_cast<size_t>(len));
+  AppendLengthHeader(out, '*', n);
 }
 
 namespace {

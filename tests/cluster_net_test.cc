@@ -735,6 +735,140 @@ TEST_F(ClusterNetTest, ProxyAndCoordinatorInfoParseWithLiveCounters) {
   proxy.Stop();
 }
 
+/// INFO Stats/Server counters of one data node, read over its own port.
+/// The INFO probe is itself one batch of one command, and it counts
+/// itself before it renders.
+struct NodeCounters {
+  uint64_t batches = 0;   // dispatched_batches
+  uint64_t commands = 0;  // total_commands_processed
+};
+
+NodeCounters ReadNodeCounters(uint16_t port) {
+  Client c;
+  EXPECT_TRUE(c.Connect("127.0.0.1", port).ok());
+  RespValue v;
+  EXPECT_TRUE(c.Call({"INFO"}, &v).ok());
+  auto info = ParseInfo(v.str);
+  NodeCounters n;
+  n.batches = std::stoull(info["Server"]["dispatched_batches"]);
+  n.commands = std::stoull(info["Stats"]["total_commands_processed"]);
+  return n;
+}
+
+TEST_F(ClusterNetTest, ProxyPipelinesMixedBatchesOneRoundPerNode) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+
+  ClusterProxy::Options options;
+  options.port = 0;
+  options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(options);
+  ASSERT_TRUE(proxy.Start().ok());
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", proxy.port()).ok());
+  RespValue v;
+
+  // One flushed batch mixing point, counter, multi-key, local and TTL
+  // commands: replies come back in order, and later commands read the
+  // batch's own earlier writes.
+  const std::vector<std::vector<Slice>> mixed = {
+      {"SET", "k", "v"},  {"GET", "k"},        {"INCR", "c"},
+      {"INCR", "c"},      {"MSET", "a", "1", "b", "2"},
+      {"MGET", "a", "b", "nope"},              {"DEL", "a", "b"},
+      {"EXISTS", "k"},    {"PING"},            {"GET", "k"},
+      {"TTL", "k"}};
+  // Keyed sub-commands the batch ships upstream (MSET/MGET/DEL per key).
+  uint64_t sub_commands = 1 + 1 + 1 + 1 + 2 + 3 + 2 + 1 + 1 + 1;
+  for (const auto& cmd : mixed) cli.Append(cmd);
+  ASSERT_TRUE(cli.Flush().ok());
+  std::vector<RespValue> r(mixed.size());
+  for (RespValue& reply : r) ASSERT_TRUE(cli.ReadReply(&reply).ok());
+  EXPECT_EQ("OK", r[0].str);
+  EXPECT_EQ("v", r[1].str);
+  EXPECT_EQ(1, r[2].integer);
+  EXPECT_EQ(2, r[3].integer);
+  EXPECT_EQ("OK", r[4].str);
+  ASSERT_EQ(RespValue::Type::kArray, r[5].type);
+  ASSERT_EQ(3u, r[5].elements.size());
+  EXPECT_EQ("1", r[5].elements[0].str);
+  EXPECT_EQ("2", r[5].elements[1].str);
+  EXPECT_TRUE(r[5].elements[2].IsNull());
+  EXPECT_EQ(RespValue::Type::kInteger, r[6].type);
+  EXPECT_EQ(2, r[6].integer);
+  EXPECT_EQ(1, r[7].integer);
+  EXPECT_EQ("PONG", r[8].str);
+  EXPECT_EQ("v", r[9].str);
+  EXPECT_EQ(RespValue::Type::kInteger, r[10].type);
+  EXPECT_EQ(-1, r[10].integer);
+
+  // Keyless commands have no owner: refused, never one node's answer.
+  ASSERT_TRUE(cli.Call({"SCAN", "0"}, &v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_EQ("ERR 'SCAN' is not supported through the proxy", v.str);
+  ASSERT_TRUE(cli.Call({"SLOWLOG", "GET"}, &v).ok());
+  ASSERT_TRUE(v.IsError());
+  EXPECT_EQ("ERR 'SLOWLOG' is not supported through the proxy", v.str);
+  // A keyed command with a bad arity is answered locally, like a node.
+  ASSERT_TRUE(cli.Call({"MSET", "a"}, &v).ok());
+  EXPECT_EQ("ERR wrong number of arguments for 'mset' command", v.str);
+
+  // A 32-command GET/SET batch is one upstream batch per node, carrying
+  // exactly the commands whose keys that node owns.
+  const NodeCounters n1_before = ReadNodeCounters(n1->port());
+  const NodeCounters n2_before = ReadNodeCounters(n2->port());
+  const int kKeys = 16;
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "pb" + std::to_string(i);
+    cli.Append({"SET", key, std::to_string(i)});
+    cli.Append({"GET", key});
+  }
+  ASSERT_TRUE(cli.Flush().ok());
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    EXPECT_EQ("OK", v.str);
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    EXPECT_EQ(std::to_string(i), v.str);
+  }
+  sub_commands += 2 * kKeys;
+  uint64_t n1_owned = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    std::string unused;
+    if (n1->db->Get("pb" + std::to_string(i), &unused).ok()) n1_owned += 2;
+  }
+  const uint64_t n2_owned = 2 * kKeys - n1_owned;
+  ASSERT_GT(n1_owned, 0u);
+  ASSERT_GT(n2_owned, 0u);
+  const NodeCounters n1_after = ReadNodeCounters(n1->port());
+  const NodeCounters n2_after = ReadNodeCounters(n2->port());
+  // +1 each: the second INFO probe.
+  EXPECT_EQ(n1_before.batches + 1 + 1, n1_after.batches);
+  EXPECT_EQ(n2_before.batches + 1 + 1, n2_after.batches);
+  EXPECT_EQ(n1_before.commands + n1_owned + 1, n1_after.commands);
+  EXPECT_EQ(n2_before.commands + n2_owned + 1, n2_after.commands);
+
+  // Identity: with no failures, the per-node routed command counts sum to
+  // the keyed sub-commands sent, and the Prometheus counter agrees.
+  ASSERT_TRUE(cli.Call({"INFO"}, &v).ok());
+  auto info = ParseInfo(v.str);
+  uint64_t routed = 0;
+  for (const auto& [key, value] : info["Cluster"]) {
+    if (key.rfind("routed_commands_", 0) == 0) routed += std::stoull(value);
+  }
+  EXPECT_EQ(sub_commands, routed);
+  EXPECT_EQ(std::to_string(sub_commands),
+            info["Cluster"]["proxy_upstream_commands"]);
+  ASSERT_TRUE(cli.Call({"METRICS"}, &v).ok());
+  EXPECT_NE(std::string::npos,
+            v.str.find("tierbase_proxy_upstream_commands " +
+                       std::to_string(sub_commands) + "\n"));
+
+  proxy.Stop();
+}
+
 }  // namespace
 }  // namespace cluster_net
 }  // namespace tierbase

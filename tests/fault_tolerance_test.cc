@@ -648,6 +648,37 @@ TEST_F(FaultToleranceClusterTest, ProxyPartitionYieldsPerKeyErrorsOnly) {
   ASSERT_TRUE(v.IsError());
   EXPECT_EQ(0u, v.str.find("UNAVAILABLE")) << v.str;
 
+  // A mixed GET/SET train is one segment too: only n1's keys may error,
+  // and n2's replies (values and OKs) stay in order.
+  std::vector<bool> on_n1(kKeys);
+  for (int i = 0; i < kKeys; ++i) {
+    std::string unused;
+    on_n1[i] = n1->db->Get("xk" + std::to_string(i), &unused).ok();
+  }
+  for (int i = 0; i < kKeys; ++i) {
+    const std::string key = "xk" + std::to_string(i);
+    if (i % 2 == 0) {
+      cli.Append({"SET", key, "new" + std::to_string(i)});
+    } else {
+      cli.Append({"GET", key});
+    }
+  }
+  ASSERT_TRUE(cli.Flush().ok());
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(cli.ReadReply(&v).ok());
+    if (on_n1[i]) {
+      EXPECT_TRUE(v.IsError()) << "key " << i;
+      continue;
+    }
+    ASSERT_FALSE(v.IsError()) << "key " << i << ": " << v.str;
+    EXPECT_EQ(i % 2 == 0 ? "OK" : std::to_string(i), v.str) << "key " << i;
+    if (i % 2 == 0) {
+      std::string stored;
+      ASSERT_TRUE(n2->db->Get("xk" + std::to_string(i), &stored).ok());
+      EXPECT_EQ("new" + std::to_string(i), stored);
+    }
+  }
+
   // The proxy's INFO surfaces the robustness section.
   ASSERT_TRUE(cli.Call({"INFO"}, &v).ok());
   EXPECT_NE(std::string::npos, v.str.find("# Robustness"));

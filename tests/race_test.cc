@@ -103,7 +103,13 @@ TEST(RaceTest, CacheMultiOpsVsEviction) {
 // --- Seam 2: write-back flusher vs foreground writes and FlushAll. ------
 
 TEST(RaceTest, WriteBackFlusherVsForeground) {
-  MockStorageAdapter storage;
+  // A storage round trip (as in the disaggregated deployment) keeps each
+  // flush in flight long enough for writers to re-dirty keys it has not
+  // taken yet; with an instant mock a fast host flushes every key before
+  // its writer returns to it, and the merge path below never runs.
+  MockStorageAdapter::Options storage_opt;
+  storage_opt.latency_micros = 100;
+  MockStorageAdapter storage(storage_opt);
   WriteBackOptions opt;
   opt.flush_threshold = 8;
   opt.flush_interval_micros = 500;
