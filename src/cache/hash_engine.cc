@@ -149,14 +149,21 @@ Status HashEngine::EvictLocked(Shard& shard, size_t needed,
   // leaves its neighbours' links intact, so the walk continues from the
   // saved predecessor without restarting.
   Entry* e = shard.lru_tail;
+  uint64_t pinned = 0;
   while (shard.charged + needed > per_shard_budget_ && e != nullptr) {
     Entry* prev = e->lru_prev;
-    if (e != protect &&
-        (filter == nullptr || (*filter)(Slice(e->key)))) {
-      RemoveEntryLocked(shard, e);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (e != protect) {
+      if (filter == nullptr || (*filter)(Slice(e->key))) {
+        RemoveEntryLocked(shard, e);
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        ++pinned;
+      }
     }
     e = prev;
+  }
+  if (pinned > 0) {
+    evict_pinned_skips_.fetch_add(pinned, std::memory_order_relaxed);
   }
   if (shard.charged + needed > per_shard_budget_) {
     return Status::OutOfSpace("cache: all remaining entries pinned");
@@ -419,6 +426,32 @@ void HashEngine::MultiSet(const std::vector<Slice>& keys,
     for (uint32_t pos = shard_begin[s]; pos < shard_begin[s + 1]; ++pos) {
       const uint32_t i = order[pos];
       (*statuses)[i] = SetLocked(shard, keys[i], hashes[i], values[i], 0);
+    }
+  }
+}
+
+void HashEngine::MultiSetIfAbsent(const std::vector<Slice>& keys,
+                                  const std::vector<Slice>& values,
+                                  std::vector<Status>* statuses) {
+  statuses->assign(keys.size(), Status::OK());
+  if (keys.empty()) return;
+  multi_batches_.fetch_add(1, std::memory_order_relaxed);
+
+  std::vector<uint64_t> hashes;
+  std::vector<uint32_t> order, shard_begin;
+  GroupByShard(keys, &hashes, &order, &shard_begin);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (shard_begin[s] == shard_begin[s + 1]) continue;
+    Shard& shard = *shards_[s];
+    common::MutexLock lock(&shard.mu);
+    multi_shard_locks_.fetch_add(1, std::memory_order_relaxed);
+    for (uint32_t pos = shard_begin[s]; pos < shard_begin[s + 1]; ++pos) {
+      const uint32_t i = order[pos];
+      const Entry* e = shard.table.Find(keys[i], hashes[i]);
+      (*statuses)[i] =
+          e != nullptr && !IsExpiredLocked(*e)
+              ? Status::Aborted("cache: key present")
+              : SetLocked(shard, keys[i], hashes[i], values[i], 0);
     }
   }
 }

@@ -112,6 +112,14 @@ class HashEngine : public KvEngine {
   void MultiSet(const std::vector<Slice>& keys,
                 const std::vector<Slice>& values,
                 std::vector<Status>* statuses) override;
+  /// Inserts keys[i] = values[i] only where no live entry exists: the
+  /// cache fill after a storage read, which must not overwrite a newer
+  /// value that a concurrent write stored meanwhile. statuses[i] is OK
+  /// when inserted and Aborted when the key was present (left untouched).
+  /// Not reported to the analytics sink: a fill is not a client access.
+  void MultiSetIfAbsent(const std::vector<Slice>& keys,
+                        const std::vector<Slice>& values,
+                        std::vector<Status>* statuses);
   /// Set with TTL (microseconds from now; 0 = no expiry).
   Status SetEx(const Slice& key, const Slice& value, uint64_t ttl_micros);
   /// Compare-and-set: succeeds iff the current value equals `expected`
@@ -173,6 +181,9 @@ class HashEngine : public KvEngine {
   /// shard per batch) and the number of batch calls served.
   uint64_t multi_shard_locks() const { return multi_shard_locks_.load(); }
   uint64_t multi_batches() const { return multi_batches_.load(); }
+  /// Entries the eviction filter protected (pinned) as eviction walked
+  /// past them.
+  uint64_t evict_pinned_skips() const { return evict_pinned_skips_.load(); }
 
   /// Write-back integration: return false to protect a key from eviction.
   /// The filter is installed behind an atomically swapped shared_ptr, so
@@ -334,6 +345,7 @@ class HashEngine : public KvEngine {
   std::atomic<uint64_t> pmem_bytes_{0};
   std::atomic<uint64_t> multi_shard_locks_{0};
   std::atomic<uint64_t> multi_batches_{0};
+  std::atomic<uint64_t> evict_pinned_skips_{0};
 };
 
 }  // namespace cache

@@ -1,30 +1,24 @@
 #include "core/deferred_fetch.h"
 
-#include <algorithm>
-
 namespace tierbase {
 
-DeferredFetcher::DeferredFetcher(StorageAdapter* storage,
-                                 DeferredFetchOptions options, Clock* clock)
-    : storage_(storage), options_(options), clock_(clock) {}
-
 void DeferredFetcher::LeaderDrain() {
-  // Keep draining until no keys are pending (later joiners are picked up
-  // by a follow-on batch rather than stranded).
+  // Keep draining until no keys are pending: misses that registered while
+  // a MultiRead was in flight ride the next one rather than being
+  // stranded.
   while (true) {
     std::vector<std::string> keys;
     std::vector<std::shared_ptr<PendingKey>> entries;
     {
       common::MutexLock lock(&mu_);
       for (auto& [k, p] : pending_) {
-        if (p->done) continue;
-        if (keys.size() >= options_.max_batch) break;
+        if (keys.size() >= kMaxBatch) break;
         keys.push_back(k);
         entries.push_back(p);
       }
       if (keys.empty()) {
-        batch_leader_active_ = false;
-        break;
+        leader_active_ = false;
+        return;
       }
     }
 
@@ -48,52 +42,14 @@ void DeferredFetcher::LeaderDrain() {
     }
     cv_.SignalAll();
   }
-  cv_.SignalAll();
 }
 
 Status DeferredFetcher::Fetch(const Slice& key, std::string* value) {
-  if (!options_.enabled) {
-    return storage_->Read(key, value);
-  }
-
-  std::shared_ptr<PendingKey> mine;
-  bool leader = false;
-  {
-    common::MutexLock lock(&mu_);
-    ++stats_.fetches;
-    auto it = pending_.find(key.ToString());
-    if (it != pending_.end()) {
-      // Piggyback on an in-flight (or forming) batch containing this key.
-      mine = it->second;
-      ++mine->waiters;
-      ++stats_.shared;
-    } else {
-      mine = std::make_shared<PendingKey>();
-      mine->waiters = 1;
-      pending_.emplace(key.ToString(), mine);
-      if (!batch_leader_active_) {
-        batch_leader_active_ = true;
-        leader = true;
-      }
-    }
-  }
-
-  if (leader) {
-    // Give concurrent missers a short window to join the batch.
-    if (options_.batch_window_micros > 0) {
-      clock_->SleepMicros(options_.batch_window_micros);
-    }
-    LeaderDrain();
-  }
-
-  {
-    common::MutexLock lock(&mu_);
-    while (!mine->done) cv_.Wait();
-  }
-  if (!mine->error.ok()) return mine->error;
-  if (!mine->found) return Status::NotFound("");
-  *value = mine->value;
-  return Status::OK();
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  FetchMany({key}, &values, &statuses);
+  if (statuses[0].ok()) *value = std::move(values[0]);
+  return statuses[0];
 }
 
 void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
@@ -104,49 +60,24 @@ void DeferredFetcher::FetchMany(const std::vector<Slice>& keys,
   statuses->assign(n, Status::OK());
   if (n == 0) return;
 
-  if (!options_.enabled) {
-    std::vector<std::string> key_strs;
-    key_strs.reserve(n);
-    for (const Slice& k : keys) key_strs.push_back(k.ToString());
-    std::vector<std::string> out;
-    std::vector<bool> found;
-    Status s = storage_->MultiRead(key_strs, &out, &found);
-    for (size_t i = 0; i < n; ++i) {
-      if (!s.ok()) {
-        (*statuses)[i] = s;
-      } else if (!found[i]) {
-        (*statuses)[i] = Status::NotFound("");
-      } else {
-        (*values)[i] = std::move(out[i]);
-      }
-    }
-    return;
-  }
-
-  // Register every key (deduplicating against in-flight singles and
-  // earlier occurrences in this batch), then drain as leader unless one is
-  // already active — the batch already IS batched, so the forming window
-  // is skipped.
+  // Register every key, sharing the read of any key already pending, and
+  // drain as leader unless one is already active.
   std::vector<std::shared_ptr<PendingKey>> mine(n);
   bool leader = false;
   {
     common::MutexLock lock(&mu_);
     for (size_t i = 0; i < n; ++i) {
       ++stats_.fetches;
-      std::string k = keys[i].ToString();
-      auto it = pending_.find(k);
-      if (it != pending_.end()) {
-        mine[i] = it->second;
-        ++mine[i]->waiters;
-        ++stats_.shared;
+      auto [it, inserted] = pending_.try_emplace(keys[i].ToString());
+      if (inserted) {
+        it->second = std::make_shared<PendingKey>();
       } else {
-        mine[i] = std::make_shared<PendingKey>();
-        mine[i]->waiters = 1;
-        pending_.emplace(std::move(k), mine[i]);
+        ++stats_.shared;
       }
+      mine[i] = it->second;
     }
-    if (!batch_leader_active_) {
-      batch_leader_active_ = true;
+    if (!leader_active_) {
+      leader_active_ = true;
       leader = true;
     }
   }

@@ -50,14 +50,6 @@ struct WriteBackOptions {
   size_t max_flush_failures = 16;
 };
 
-struct DeferredFetchOptions {
-  bool enabled = true;
-  /// Collect concurrent misses for up to this long before issuing one
-  /// batched MultiRead to the storage tier.
-  uint64_t batch_window_micros = 200;
-  size_t max_batch = 64;
-};
-
 struct TierBaseOptions {
   CachingPolicy policy = CachingPolicy::kCacheOnly;
   ReplicationMode replication = ReplicationMode::kNone;
@@ -75,7 +67,6 @@ struct TierBaseOptions {
   bool populate_on_miss = true;
 
   WriteBackOptions write_back;
-  DeferredFetchOptions deferred_fetch;
 
   /// Workload observatory (live MRC, hot keys, keyspace shape). When
   /// enabled, TierBase owns a WorkloadAnalytics wired into the cache

@@ -128,16 +128,14 @@ Status TierBase::Init() {
             }
             return storage_->WriteBatch(batch);
           });
-      fetcher_ = std::make_unique<DeferredFetcher>(storage_,
-                                                   options_.deferred_fetch);
+      fetcher_ = std::make_unique<DeferredFetcher>(storage_);
       break;
     }
 
     case CachingPolicy::kWriteBack: {
       write_back_ = std::make_unique<WriteBackManager>(
           storage_, options_.write_back);
-      fetcher_ = std::make_unique<DeferredFetcher>(storage_,
-                                                   options_.deferred_fetch);
+      fetcher_ = std::make_unique<DeferredFetcher>(storage_);
       // Dirty entries must stay cached until flushed (§4.1.2 reliability).
       cache_->SetEvictionFilter([this](const Slice& key) {
         return !write_back_->IsDirty(key);
@@ -389,16 +387,23 @@ Status TierBase::Get(const Slice& key, std::string* value) {
   }
   if (!s.ok()) return s;
 
-  if (options_.populate_on_miss) {
-    // Populate without dirtying: this value is already durable in storage.
-    Status ps = cache_->Set(key, *value);
-    if (ps.ok()) {
-      stats_populates_.fetch_add(1, std::memory_order_relaxed);
-      if (replicator_ != nullptr) replicator_->ReplicateSet(key, *value);
-    }
-    // OutOfSpace here is fine — serving from storage still works.
-  }
+  if (options_.populate_on_miss) Populate({key}, {Slice(*value)});
   return Status::OK();
+}
+
+void TierBase::Populate(const std::vector<Slice>& keys,
+                        const std::vector<Slice>& values) {
+  // Without dirtying: these values are already durable in storage. Only
+  // where the key is still absent — a write that landed while the read was
+  // in flight stored a newer value, which the stale fill must not replace.
+  // OutOfSpace is fine too: serving from storage still works.
+  std::vector<Status> statuses;
+  cache_->MultiSetIfAbsent(keys, values, &statuses);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!statuses[i].ok()) continue;
+    stats_populates_.fetch_add(1, std::memory_order_relaxed);
+    if (replicator_ != nullptr) replicator_->ReplicateSet(keys[i], values[i]);
+  }
 }
 
 void TierBase::MultiGet(const std::vector<Slice>& keys,
@@ -484,20 +489,7 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     }
   }
 
-  if (!populate_keys.empty()) {
-    // Populate without dirtying: these values are already durable in
-    // storage. OutOfSpace is fine — serving from storage still works.
-    std::vector<Status> populate_statuses;
-    cache_->MultiSet(populate_keys, populate_values, &populate_statuses);
-    for (size_t p = 0; p < populate_keys.size(); ++p) {
-      if (populate_statuses[p].ok()) {
-        stats_populates_.fetch_add(1, std::memory_order_relaxed);
-        if (replicator_ != nullptr) {
-          replicator_->ReplicateSet(populate_keys[p], populate_values[p]);
-        }
-      }
-    }
-  }
+  Populate(populate_keys, populate_values);
 }
 
 void TierBase::MultiSet(const std::vector<Slice>& keys,
@@ -645,20 +637,20 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
   // (deferred cache-fetching path for update ops on missing keys, §4.1.2).
   if (tiered() && !cache_->Exists(key)) {
     bool dirty_delete = false;
-    std::string dirty_value;
+    std::string current;
     bool have_dirty =
         write_back_ != nullptr &&
-        write_back_->GetDirty(key, &dirty_value, &dirty_delete);
-    if (have_dirty && !dirty_delete) {
-      cache_->Set(key, dirty_value);
-    } else if (!have_dirty) {
-      std::string stored;
-      Status s = fetcher_->Fetch(key, &stored);
-      if (s.ok()) {
-        cache_->Set(key, stored);
-      } else if (!s.IsNotFound()) {
-        return s;
-      }
+        write_back_->GetDirty(key, &current, &dirty_delete);
+    bool fill = have_dirty && !dirty_delete;
+    if (!have_dirty) {
+      Status s = fetcher_->Fetch(key, &current);
+      if (!s.ok() && !s.IsNotFound()) return s;
+      fill = s.ok();
+    }
+    if (fill) {
+      // Like a populate: never over a value a concurrent write stored.
+      std::vector<Status> ignored;
+      cache_->MultiSetIfAbsent({key}, {Slice(current)}, &ignored);
     }
   }
 
@@ -725,6 +717,7 @@ TierBase::Stats TierBase::GetStats() const {
   s.lru_touches = cache_->lru_touches();
   s.multi_shard_locks = cache_->multi_shard_locks();
   s.multi_batches = cache_->multi_batches();
+  s.evict_pinned_skips = cache_->evict_pinned_skips();
   UsageStats cache_usage = cache_->GetUsage();
   s.bytes_cached = cache_usage.memory_bytes;
   s.pmem_bytes = cache_usage.pmem_bytes;
@@ -737,6 +730,7 @@ TierBase::Stats TierBase::GetStats() const {
   if (write_back_ != nullptr) {
     s.write_back = write_back_->GetStats();
     s.write_back_dirty = write_back_->dirty_count();
+    s.write_back_oldest_dirty_age_us = write_back_->oldest_dirty_age_micros();
     Status fe = write_back_->flush_error();
     if (!fe.ok()) s.flush_error = fe.ToString();
   }

@@ -103,6 +103,8 @@ class TierBase : public KvEngine {
     uint64_t lru_touches = 0;
     uint64_t multi_shard_locks = 0;  // Shard locks taken by batch ops.
     uint64_t multi_batches = 0;      // MultiGet/MultiSet calls served.
+    uint64_t evict_pinned_skips = 0;  // Pinned (dirty) entries eviction
+                                      // walked past.
     uint64_t bytes_cached = 0;       // DRAM charged to cached entries.
     uint64_t pmem_bytes = 0;         // Simulated-PMem value bytes.
     uint64_t keys_cached = 0;
@@ -114,6 +116,7 @@ class TierBase : public KvEngine {
     // in play — TierBase's counters above are for the wal/wal-pmem modes).
     StorageAdapter::WalRecoveryStats storage_wal;
     uint64_t write_back_dirty = 0;      // Unflushed dirty entries right now.
+    uint64_t write_back_oldest_dirty_age_us = 0;  // Age of the oldest one.
     std::string flush_error;            // Last write-back flush error; empty
                                         // when healthy (cleared on success).
     PerKeyCoalescer::Stats write_through;
@@ -135,6 +138,9 @@ class TierBase : public KvEngine {
   Status LogMutation(const Slice& key, const Slice& value, bool is_delete);
   Status SetInternal(const Slice& key, const Slice& value,
                      uint64_t ttl_micros);
+  /// Fills the cache after a storage read (Get and MultiGet misses).
+  void Populate(const std::vector<Slice>& keys,
+                const std::vector<Slice>& values);
   bool tiered() const {
     return options_.policy == CachingPolicy::kWriteThrough ||
            options_.policy == CachingPolicy::kWriteBack;

@@ -22,11 +22,8 @@ WriteBackManager::~WriteBackManager() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
-                                   bool is_delete) {
-  common::MutexLock lock(&mu_);
+Status WriteBackManager::AwaitSpaceLocked(const Slice& key) {
   if (!flush_error_.ok()) return flush_error_;
-
   // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
   // backpressure mechanism is activated when dirty data approaches a
   // predefined threshold").
@@ -37,14 +34,33 @@ Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
     space_cv_.Wait();
     if (!flush_error_.ok()) return flush_error_;
   }
+  return Status::OK();
+}
 
+void WriteBackManager::DirtyLocked(const Slice& key, const Slice& value,
+                                   bool is_delete) {
   ++stats_.updates;
   auto [it, inserted] = dirty_.try_emplace(key.ToString());
-  if (!inserted) ++stats_.merged_updates;
-  it->second.value = value.ToString();
-  it->second.is_delete = is_delete;
-  it->second.gen = next_gen_++;
+  DirtyEntry& e = it->second;
+  if (inserted) {
+    e.key = &it->first;
+    e.dirtied_at = clock_->NowMicros();
+    e.older = newest_;
+    (newest_ != nullptr ? newest_->newer : oldest_) = &e;
+    newest_ = &e;
+  } else {
+    ++stats_.merged_updates;  // Keeps its place: merges, never starves.
+  }
+  e.value.assign(value.data(), value.size());
+  e.is_delete = is_delete;
+  e.gen = next_gen_++;
+}
 
+Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
+                                   bool is_delete) {
+  common::MutexLock lock(&mu_);
+  TIERBASE_RETURN_IF_ERROR(AwaitSpaceLocked(key));
+  DirtyLocked(key, value, is_delete);
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
   }
@@ -55,20 +71,8 @@ Status WriteBackManager::MarkDirtyBatch(const std::vector<Slice>& keys,
                                         const std::vector<Slice>& values) {
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (!flush_error_.ok()) return flush_error_;
-    while (dirty_.size() >= options_.max_dirty &&
-           dirty_.find(keys[i].ToString()) == dirty_.end()) {
-      ++stats_.backpressure_waits;
-      flush_cv_.SignalAll();
-      space_cv_.Wait();
-      if (!flush_error_.ok()) return flush_error_;
-    }
-    ++stats_.updates;
-    auto [it, inserted] = dirty_.try_emplace(keys[i].ToString());
-    if (!inserted) ++stats_.merged_updates;
-    it->second.value = values[i].ToString();
-    it->second.is_delete = false;
-    it->second.gen = next_gen_++;
+    TIERBASE_RETURN_IF_ERROR(AwaitSpaceLocked(keys[i]));
+    DirtyLocked(keys[i], values[i], /*is_delete=*/false);
   }
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
@@ -110,16 +114,17 @@ void WriteBackManager::GetDirtyBatch(const std::vector<Slice>& keys,
 }
 
 Result<size_t> WriteBackManager::FlushBatch() {
-  // Snapshot a batch under the lock, write it outside, then remove entries
-  // that were not re-dirtied during the write.
+  // Snapshot the oldest entries under the lock, write them outside, then
+  // remove those not re-dirtied during the write (a re-dirtied entry keeps
+  // its place at the old end and goes first next time).
   std::vector<StorageAdapter::BatchOp> batch;
-  std::vector<std::pair<std::string, uint64_t>> taken;
+  std::vector<uint64_t> gens;
   {
     common::MutexLock lock(&mu_);
-    for (const auto& [key, entry] : dirty_) {
-      if (batch.size() >= options_.max_batch) break;
-      batch.push_back({key, entry.value, entry.is_delete});
-      taken.emplace_back(key, entry.gen);
+    for (const DirtyEntry* e = oldest_;
+         e != nullptr && batch.size() < options_.max_batch; e = e->newer) {
+      batch.push_back({*e->key, e->value, e->is_delete});
+      gens.push_back(e->gen);
     }
   }
   if (batch.empty()) return size_t{0};
@@ -143,11 +148,13 @@ Result<size_t> WriteBackManager::FlushBatch() {
     ++stats_.flush_retries;
   }
   consecutive_flush_failures_ = 0;
-  for (const auto& [key, gen] : taken) {
-    auto it = dirty_.find(key);
-    if (it != dirty_.end() && it->second.gen == gen) {
-      dirty_.erase(it);
-    }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto it = dirty_.find(batch[i].key);
+    if (it == dirty_.end() || it->second.gen != gens[i]) continue;
+    DirtyEntry& e = it->second;
+    (e.older != nullptr ? e.older->newer : oldest_) = e.newer;
+    (e.newer != nullptr ? e.newer->older : newest_) = e.older;
+    dirty_.erase(it);
   }
   ++stats_.flush_batches;
   stats_.flushed_ops += batch.size();
@@ -227,6 +234,13 @@ Status WriteBackManager::FlushAll() {
 size_t WriteBackManager::dirty_count() const {
   common::MutexLock lock(&mu_);
   return dirty_.size();
+}
+
+uint64_t WriteBackManager::oldest_dirty_age_micros() const {
+  common::MutexLock lock(&mu_);
+  if (oldest_ == nullptr) return 0;
+  const uint64_t now = clock_->NowMicros();
+  return now > oldest_->dirtied_at ? now - oldest_->dirtied_at : 0;
 }
 
 WriteBackManager::Stats WriteBackManager::GetStats() const {

@@ -1,6 +1,14 @@
 // Write-back machinery (paper §4.1.2): dirty tracking, deferred batched
 // flushes with per-key update merging, interval-bounded staleness, and a
 // backpressure mechanism when dirty data approaches its cap.
+//
+// Dirty entries are kept in first-dirtied order and flushed oldest first.
+// Re-dirtying a pending key updates it in place without moving it, so a
+// hot key merges every write of one dirty residence into one storage op,
+// and no entry waits behind a stream of newer ones: its residence is
+// bounded by the flush rate, not by luck. The oldest dirty entries are
+// also the ones at the cache's LRU tail, so flushing them first unpins
+// exactly what the evictor needs.
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
@@ -56,6 +64,9 @@ class WriteBackManager {
 
   size_t dirty_count() const;
 
+  /// How long the oldest unflushed entry has been dirty (0 when clean).
+  uint64_t oldest_dirty_age_micros() const;
+
   struct Stats {
     uint64_t updates = 0;
     uint64_t merged_updates = 0;   // Updates absorbed by a pending entry.
@@ -73,11 +84,26 @@ class WriteBackManager {
   Status flush_error() const;
 
  private:
+  /// Entries form an intrusive list in first-dirtied order. Map nodes
+  /// never move, so the links and `key` (the map's own key) stay valid
+  /// until the entry is erased.
   struct DirtyEntry {
     std::string value;
     bool is_delete = false;
     uint64_t gen = 0;
+    uint64_t dirtied_at = 0;  // Clock micros of the first dirtying.
+    const std::string* key = nullptr;
+    DirtyEntry* newer = nullptr;
+    DirtyEntry* older = nullptr;
   };
+
+  /// Records one update under mu_: a new key joins the newest end, a
+  /// pending one is updated in place.
+  void DirtyLocked(const Slice& key, const Slice& value, bool is_delete)
+      EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// Blocks while the dirty set is full and `key` is not already pending;
+  /// returns the sticky flush error if one appears.
+  Status AwaitSpaceLocked(const Slice& key) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   void FlusherLoop();
   /// Takes up to max_batch dirty entries and writes them as one batch.
@@ -93,6 +119,8 @@ class WriteBackManager {
   common::CondVar space_cv_{&mu_};  // Wakes backpressured writers.
   common::CondVar clean_cv_{&mu_};  // Signals "all clean".
   std::unordered_map<std::string, DirtyEntry> dirty_ GUARDED_BY(mu_);
+  DirtyEntry* oldest_ GUARDED_BY(mu_) = nullptr;  // Flushed first.
+  DirtyEntry* newest_ GUARDED_BY(mu_) = nullptr;
   uint64_t next_gen_ GUARDED_BY(mu_) = 1;
   bool shutting_down_ GUARDED_BY(mu_) = false;
   int flush_waiters_ GUARDED_BY(mu_) = 0;  // FlushAll calls in progress;

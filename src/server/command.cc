@@ -256,6 +256,15 @@ void CommandTable::RegisterInstruments() {
        [this] { return info_stats_.write_through.storage_writes; });
   stat("Stats", "deferred_fetches", "Deferred storage fetches",
        [this] { return info_stats_.deferred_fetch.fetches; });
+  stat("Stats", "deferred_fetch_batches",
+       "Storage MultiReads issued by deferred fetching",
+       [this] { return info_stats_.deferred_fetch.batch_calls; });
+  stat("Stats", "deferred_fetch_shared",
+       "Deferred fetches that shared another's storage read",
+       [this] { return info_stats_.deferred_fetch.shared; });
+  stat("Stats", "evict_pinned_skips",
+       "Pinned dirty entries eviction walked past",
+       [this] { return info_stats_.evict_pinned_skips; });
 
   // # Commandstats: one latency histogram per command family, recorded
   // dispatch -> reply. [kNumSpecs] catches pre-table commands (PING,
@@ -280,6 +289,10 @@ void CommandTable::RegisterInstruments() {
   registry_.AddText("Persistence", "policy", [this] { return db_->name(); });
   stat("Persistence", "wb_dirty", "Dirty write-back entries pending flush",
        [this] { return info_stats_.write_back_dirty; },
+       metrics::MetricType::kGauge);
+  stat("Persistence", "wb_oldest_dirty_age_us",
+       "Age of the oldest unflushed write-back entry, microseconds",
+       [this] { return info_stats_.write_back_oldest_dirty_age_us; },
        metrics::MetricType::kGauge);
   stat("Persistence", "wb_flush_batches", "Write-back flush batches",
        [this] { return info_stats_.write_back.flush_batches; });

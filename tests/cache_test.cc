@@ -372,6 +372,27 @@ TEST(HashEngineTest, EvictionFilterPinsDirtyKeys) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(engine.Get("dirty" + std::to_string(i), &value).ok()) << i;
   }
+  // The walks stepped over the pinned entries at the LRU tail.
+  EXPECT_GE(engine.evict_pinned_skips(), 10u);
+}
+
+TEST(HashEngineTest, MultiSetIfAbsentLeavesPresentKeys) {
+  HashEngine engine;
+  ASSERT_TRUE(engine.Set("present", "new").ok());
+  ASSERT_TRUE(engine.LPush("list", "x").ok());
+  std::vector<Status> statuses;
+  engine.MultiSetIfAbsent({Slice("present"), Slice("absent"), Slice("list")},
+                          {Slice("stale"), Slice("filled"), Slice("stale")},
+                          &statuses);
+  EXPECT_TRUE(statuses[0].IsAborted());
+  EXPECT_TRUE(statuses[1].ok());
+  EXPECT_TRUE(statuses[2].IsAborted());
+  std::string value;
+  ASSERT_TRUE(engine.Get("present", &value).ok());
+  EXPECT_EQ(value, "new");
+  ASSERT_TRUE(engine.Get("absent", &value).ok());
+  EXPECT_EQ(value, "filled");
+  EXPECT_EQ(*engine.LLen("list"), 1u);
 }
 
 // Regression: charging an entry's new size could evict the entry itself

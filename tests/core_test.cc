@@ -3,9 +3,12 @@
 // manager (merging, backpressure, flush), deferred fetching, replication,
 // and crash recovery of the cache tier.
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,28 @@ class TierBaseTest : public ::testing::Test {
   void SetUp() override { dir_ = env::MakeTempDir("tb_core_test"); }
   void TearDown() override { env::RemoveDirRecursive(dir_); }
   std::string dir_;
+};
+
+// Mock storage that records the keys of every WriteBatch, in call order.
+class RecordingStorage : public MockStorageAdapter {
+ public:
+  Status WriteBatch(const std::vector<BatchOp>& ops) override {
+    {
+      std::lock_guard<std::mutex> lock(batches_mu_);
+      std::vector<std::string> keys;
+      for (const auto& op : ops) keys.push_back(op.key);
+      batches_.push_back(std::move(keys));
+    }
+    return MockStorageAdapter::WriteBatch(ops);
+  }
+  std::vector<std::vector<std::string>> batches() {
+    std::lock_guard<std::mutex> lock(batches_mu_);
+    return batches_;
+  }
+
+ private:
+  std::mutex batches_mu_;
+  std::vector<std::vector<std::string>> batches_;
 };
 
 // --- Cache-only mode. ---
@@ -506,19 +531,98 @@ TEST(WriteBackManagerTest, PersistentFlushFailureSurfacesBounded) {
   EXPECT_EQ(storage.size(), 0u);
 }
 
+// Strict oldest-first flushing: the first batch is exactly the first
+// max_batch keys dirtied. (Taking the first entries of the hash map in
+// iteration order flushed the newest keys first.)
+TEST(WriteBackManagerTest, FlushesOldestFirst) {
+  RecordingStorage storage;
+  WriteBackOptions options;
+  options.flush_interval_micros = 60'000'000;  // Only FlushAll flushes.
+  options.flush_threshold = 1 << 30;
+  WriteBackManager manager(&storage, options);
+  for (int i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(manager.MarkDirty("k" + std::to_string(i), "v", false).ok());
+  }
+  ASSERT_TRUE(manager.FlushAll().ok());
+  auto batches = storage.batches();
+  ASSERT_EQ(batches.size(), 1024u / options.max_batch);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_EQ(batches[b].size(), options.max_batch);
+    for (size_t i = 0; i < options.max_batch; ++i) {
+      ASSERT_EQ(batches[b][i], "k" + std::to_string(b * options.max_batch + i))
+          << "batch " << b << " slot " << i;
+    }
+  }
+}
+
+// Re-dirtying a pending key updates it in place: it keeps the place of its
+// first dirtying, so a stream of newer keys never pushes it back, and all
+// its updates merge into one storage op carrying the latest value.
+TEST(WriteBackManagerTest, RedirtiedKeyKeepsItsPlace) {
+  RecordingStorage storage;
+  WriteBackOptions options;
+  options.flush_interval_micros = 60'000'000;
+  options.flush_threshold = 1 << 30;
+  WriteBackManager manager(&storage, options);
+  ASSERT_TRUE(manager.MarkDirty("old", "v0", false).ok());
+  for (int i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(manager.MarkDirty("k" + std::to_string(i), "v", false).ok());
+    if (i % 100 == 99) {
+      ASSERT_TRUE(
+          manager.MarkDirty("old", "v" + std::to_string(i), false).ok());
+    }
+  }
+  ASSERT_TRUE(manager.FlushAll().ok());
+  auto batches = storage.batches();
+  ASSERT_FALSE(batches.empty());
+  EXPECT_EQ(batches[0][0], "old");
+  EXPECT_EQ(batches[0][1], "k0");
+  size_t old_ops = 0;
+  for (const auto& batch : batches) {
+    old_ops += static_cast<size_t>(std::count(batch.begin(), batch.end(), "old"));
+  }
+  EXPECT_EQ(old_ops, 1u);
+  EXPECT_EQ(manager.GetStats().merged_updates, 10u);
+  std::string value;
+  ASSERT_TRUE(storage.Read("old", &value).ok());
+  EXPECT_EQ(value, "v999");
+}
+
+TEST(WriteBackManagerTest, OldestDirtyAgeComesFromFirstDirtying) {
+  MockStorageAdapter storage;
+  ManualClock clock(1'000);
+  WriteBackOptions options;
+  options.flush_interval_micros = 60'000'000;
+  options.flush_threshold = 1 << 30;
+  WriteBackManager manager(&storage, options, &clock);
+  EXPECT_EQ(manager.oldest_dirty_age_micros(), 0u);
+  ASSERT_TRUE(manager.MarkDirty("a", "v", false).ok());
+  clock.Advance(500);
+  ASSERT_TRUE(manager.MarkDirty("b", "v", false).ok());
+  clock.Advance(250);
+  ASSERT_TRUE(manager.MarkDirty("a", "v2", false).ok());  // Merges.
+  EXPECT_EQ(manager.oldest_dirty_age_micros(), 750u);
+  ASSERT_TRUE(manager.FlushAll().ok());
+  EXPECT_EQ(manager.oldest_dirty_age_micros(), 0u);
+}
+
 // --- DeferredFetcher. ---
 
 TEST(DeferredFetcherTest, FetchesFromStorage) {
   MockStorageAdapter storage;
   ASSERT_TRUE(storage.Write("k", "v").ok());
-  DeferredFetchOptions options;
-  DeferredFetcher fetcher(&storage, options);
+  DeferredFetcher fetcher(&storage);
   std::string value;
   ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
   EXPECT_EQ(value, "v");
   EXPECT_TRUE(fetcher.Fetch("missing", &value).IsNotFound());
+  // Fetch is a one-key FetchMany: one MultiRead per lone fetch.
+  EXPECT_EQ(storage.counters().batch_calls, 2u);
+  EXPECT_EQ(storage.counters().reads, 2u);
 }
 
+// No forming window: batching comes from misses that arrive while a
+// leader's MultiRead is in flight (500 us here) and join its drain loop.
 TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   MockStorageAdapter::Options mock_options;
   mock_options.latency_micros = 500;  // Make batching worthwhile & likely.
@@ -526,10 +630,7 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   for (int i = 0; i < 64; ++i) {
     ASSERT_TRUE(storage.Write("key" + std::to_string(i), "v").ok());
   }
-  DeferredFetchOptions options;
-  options.batch_window_micros = 2000;
-  options.max_batch = 64;
-  DeferredFetcher fetcher(&storage, options);
+  DeferredFetcher fetcher(&storage);
 
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
@@ -551,15 +652,26 @@ TEST(DeferredFetcherTest, ConcurrentMissesShareBatches) {
   EXPECT_LT(stats.batch_calls, 64u);
 }
 
-TEST(DeferredFetcherTest, DisabledModeStillCorrect) {
+// A lone miss reads storage once, straight away: no window, no Read
+// beside the MultiRead.
+TEST_F(TierBaseTest, LoneGetMissMakesOneStorageCall) {
   MockStorageAdapter storage;
   ASSERT_TRUE(storage.Write("k", "v").ok());
-  DeferredFetchOptions options;
-  options.enabled = false;
-  DeferredFetcher fetcher(&storage, options);
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
   std::string value;
-  ASSERT_TRUE(fetcher.Fetch("k", &value).ok());
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
   EXPECT_EQ(value, "v");
+  EXPECT_EQ(storage.counters().batch_calls, 1u);
+  EXPECT_EQ(storage.counters().reads, 1u);
+  auto fetch = (*db)->GetStats().deferred_fetch;
+  EXPECT_EQ(fetch.fetches, 1u);
+  EXPECT_EQ(fetch.batch_calls, 1u);
+  // The fill makes the next read a hit.
+  ASSERT_TRUE((*db)->Get("k", &value).ok());
+  EXPECT_EQ(storage.counters().reads, 1u);
 }
 
 // --- Replication. ---
@@ -844,7 +956,6 @@ TEST_P(PolicyDifferentialTest, MultiOpsMatchModel) {
   options.wal_dir = dir;
   options.wal_pmem_device = device->get();
   options.write_back.flush_interval_micros = 5'000;
-  options.deferred_fetch.batch_window_micros = 0;
 
   bool tiered = policy == CachingPolicy::kWriteThrough ||
                 policy == CachingPolicy::kWriteBack;
@@ -1042,8 +1153,6 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
   }
   TierBaseOptions options;
   options.policy = CachingPolicy::kWriteThrough;
-  options.deferred_fetch.batch_window_micros = 0;
-  options.deferred_fetch.max_batch = 64;
   auto db = TierBase::Open(options, &storage);
   ASSERT_TRUE(db.ok());
 
@@ -1072,6 +1181,151 @@ TEST(TierBaseMultiOpsTest, MultiGetMissesFetchInOneBatchAndPopulate) {
   EXPECT_GE((*db)->GetStats().storage_populates, 40u);
   // Only the still-missing key goes back to storage.
   EXPECT_LE(storage.counters().batch_calls, batch_calls_before + 1);
+}
+
+// --- Cache fill after a miss vs a concurrent write. ---
+
+// Mock storage whose first read parks after reading, until released: a
+// test can complete a write between a miss's storage read and its cache
+// fill.
+class ParkingStorage : public MockStorageAdapter {
+ public:
+  Status Read(const Slice& key, std::string* value) override {
+    Status s = MockStorageAdapter::Read(key, value);
+    Park();
+    return s;
+  }
+  Status MultiRead(const std::vector<std::string>& keys,
+                   std::vector<std::string>* values,
+                   std::vector<bool>* found) override {
+    Status s = MockStorageAdapter::MultiRead(keys, values, found);
+    Park();
+    return s;
+  }
+  void WaitParked() {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    park_cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    released_ = true;
+    park_cv_.notify_all();
+  }
+
+ private:
+  void Park() {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    parked_ = true;
+    park_cv_.notify_all();
+    park_cv_.wait(lock, [this] { return released_; });
+  }
+
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A miss reads v1 from storage; a Set of v2 completes before the miss
+// fills the cache. The fill must not replace v2: it once did (a plain
+// cache Set), and the cache then served v1 until eviction.
+TEST(TierBasePopulateTest, FillNeverOverwritesAConcurrentSet) {
+  for (CachingPolicy policy :
+       {CachingPolicy::kWriteThrough, CachingPolicy::kWriteBack}) {
+    for (bool batched : {false, true}) {
+      SCOPED_TRACE(std::string(CachingPolicyName(policy)) +
+                   (batched ? " MultiGet" : " Get"));
+      ParkingStorage storage;
+      ASSERT_TRUE(storage.Write("k", "v1").ok());
+      TierBaseOptions options;
+      options.policy = policy;
+      auto db = TierBase::Open(options, &storage);
+      ASSERT_TRUE(db.ok());
+
+      std::string read;
+      std::thread reader([&] {
+        if (batched) {
+          std::vector<std::string> out;
+          std::vector<Status> statuses;
+          (*db)->MultiGet({Slice("k")}, &out, &statuses);
+          if (statuses[0].ok()) read = out[0];
+        } else {
+          (void)(*db)->Get("k", &read);
+        }
+      });
+      storage.WaitParked();
+      ASSERT_TRUE((*db)->Set("k", "v2").ok());
+      storage.Release();
+      reader.join();
+      EXPECT_EQ(read, "v1");  // Read before the Set completed.
+
+      std::string value;
+      ASSERT_TRUE((*db)->Get("k", &value).ok());
+      EXPECT_EQ(value, "v2");
+      ASSERT_TRUE((*db)->cache()->Get("k", &value).ok());
+      EXPECT_EQ(value, "v2");
+      EXPECT_EQ((*db)->GetStats().storage_populates, 0u);
+    }
+  }
+}
+
+// The deferred-fetch counters reconcile with the cache and the storage
+// tier on a write-back instance whose budget forces misses and eviction:
+// every miss is one deferred fetch, and every fetch that did not share
+// another's read is one key read from storage.
+TEST(TierBaseStatsTest, DeferredFetchCountersReconcile) {
+  MockStorageAdapter::Options mock_options;
+  mock_options.latency_micros = 200;  // Lets concurrent misses share reads.
+  MockStorageAdapter storage(mock_options);
+  constexpr int kKeys = 2'000;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        storage.Write("key" + std::to_string(i), std::string(100, 'v')).ok());
+  }
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.cache.shards = 4;
+  options.cache.memory_budget = 64 * 1024;
+  options.write_back.flush_interval_micros = 2'000;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&db, t] {
+      Random rng(static_cast<uint32_t>(31 + t));
+      for (int op = 0; op < 300; ++op) {
+        std::string key = "key" + std::to_string(rng.Uniform(kKeys));
+        std::string value;
+        if (op % 3 == 0) {
+          ASSERT_TRUE((*db)->Set(key, std::string(100, 'w')).ok());
+        } else if (op % 3 == 1) {
+          ASSERT_TRUE((*db)->Get(key, &value).ok()) << key;
+        } else {
+          std::vector<std::string> key_strs;
+          for (int i = 0; i < 8; ++i) {
+            key_strs.push_back("key" + std::to_string(rng.Uniform(kKeys)));
+          }
+          key_strs.push_back(key_strs[0]);  // A repeat shares its read.
+          std::vector<Slice> keys(key_strs.begin(), key_strs.end());
+          std::vector<std::string> out;
+          std::vector<Status> statuses;
+          (*db)->MultiGet(keys, &out, &statuses);
+          for (const Status& s : statuses) ASSERT_TRUE(s.ok());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  auto stats = (*db)->GetStats();
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.deferred_fetch.shared, 0u);
+  EXPECT_EQ(stats.cache_misses, stats.deferred_fetch.fetches);
+  EXPECT_EQ(storage.counters().reads,
+            stats.deferred_fetch.fetches - stats.deferred_fetch.shared);
+  EXPECT_LE(stats.deferred_fetch.batch_calls, stats.deferred_fetch.fetches);
 }
 
 }  // namespace

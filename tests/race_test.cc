@@ -123,7 +123,11 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
   for (int t = 0; t < kWriters; ++t) {
     threads.emplace_back([&wb, t] {
       for (int i = 0; i < kOps; ++i) {
-        std::string k = Key(t, i % 50);  // Re-dirty keys: merge path.
+        // Skewed, like real write traffic: every other op re-dirties the
+        // writer's hot key (the merge path), the rest cycle 49 cold keys.
+        // Cold keys alone never merge under oldest-first flushing, which
+        // takes each before its writer comes back to it.
+        std::string k = Key(t, i % 2 == 0 ? 0 : 1 + (i / 2) % 49);
         ASSERT_TRUE(wb.MarkDirty(k, "v" + std::to_string(i), false).ok());
         std::string v;
         bool del = false;

@@ -887,6 +887,11 @@ TEST_F(ServerTest, ShutdownDrainsWriteBackTier) {
   ASSERT_TRUE(client.Call({"INFO"}, &v).ok());
   EXPECT_NE(v.str.find("# Persistence"), std::string::npos);
   EXPECT_NE(v.str.find("wb_dirty:32"), std::string::npos);
+  for (const char* field :
+       {"wb_oldest_dirty_age_us:", "deferred_fetch_batches:0",
+        "deferred_fetch_shared:0", "evict_pinned_skips:0"}) {
+    EXPECT_NE(v.str.find(field), std::string::npos) << field;
+  }
 
   ASSERT_TRUE(client.Call({"SHUTDOWN"}, &v).ok());
   EXPECT_EQ("OK", v.str);
