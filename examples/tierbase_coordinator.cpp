@@ -9,7 +9,8 @@
 //   --host H               bind address (default 127.0.0.1)
 //   --port N               listen port; 0 = ephemeral (default 7000)
 //   --port-file PATH       write the bound port to PATH once listening
-//   --vnodes N             virtual nodes per shard on the ring (default 64)
+//   --vnodes N             virtual nodes per shard on the ring, 1..1024
+//                          (default 64)
 //   --probe-interval-ms N  PING every node this often and fail the
 //                          unresponsive; 0 = rely on client reports
 //                          (default 0)
@@ -73,7 +74,10 @@ int main(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-  if (options.virtual_nodes <= 0 || probe_ms < 0) return Usage(argv[0]);
+  if (options.virtual_nodes <= 0 ||
+      options.virtual_nodes > cluster_net::kMaxVirtualNodes || probe_ms < 0) {
+    return Usage(argv[0]);
+  }
   options.probe_interval_micros = static_cast<uint64_t>(probe_ms) * 1000;
 
   cluster_net::CoordinatorService service(options);

@@ -6,6 +6,7 @@
 
 #include "common/mutex.h"
 #include "server/client.h"
+#include "server/command.h"
 
 namespace tierbase::cluster_net {
 
@@ -67,6 +68,11 @@ CoordinatorService::~CoordinatorService() { Stop(); }
 
 Status CoordinatorService::Start() {
   if (running_) return Status::InvalidArgument("coordinator already running");
+  if (options_.virtual_nodes < 1 ||
+      options_.virtual_nodes > kMaxVirtualNodes) {
+    return Status::InvalidArgument("virtual_nodes must be in [1, " +
+                                   std::to_string(kMaxVirtualNodes) + "]");
+  }
   server::EventLoopOptions net;
   net.host = options_.host;
   net.port = options_.port;
@@ -237,17 +243,17 @@ Status CoordinatorService::Recover(const std::string& id) {
     }
     if (rec == nullptr) return Status::NotFound("unknown node: " + id);
     if (rec->healthy) return Status::OK();
-    rec->healthy = true;
     // If the shard gained another master while this node was down (its old
     // replica was promoted), the node rejoins as a replica of that master.
+    // Look before marking the node healthy, or it finds itself first and
+    // the shard ends up with two masters.
     const NodeRecord* master = routing_.MasterOfShard(rec->shard);
-    if (master != nullptr && master->id != rec->id) {
-      rec->is_replica = true;
+    if (master != nullptr) {
       as_replica = true;
       current_master = *master;
-    } else {
-      rec->is_replica = false;
     }
+    rec->healthy = true;
+    rec->is_replica = as_replica;
     rejoined = *rec;
     ++routing_.epoch;
   }
@@ -304,7 +310,14 @@ void CoordinatorService::Execute(
     }
     const Slice& name = cmd.args[0];
     if (EqualsUpper(name, "PING")) {
-      server::AppendSimpleString(out, "PONG");
+      // Same replies as the data nodes and the proxy.
+      if (cmd.args.size() == 1) {
+        server::AppendSimpleString(out, "PONG");
+      } else if (cmd.args.size() == 2) {
+        server::AppendBulk(out, cmd.args[1]);
+      } else {
+        server::AppendWrongArity(out, "PING");
+      }
     } else if (EqualsUpper(name, "QUIT")) {
       server::AppendSimpleString(out, "OK");
       *close_connection = true;
@@ -322,8 +335,12 @@ void CoordinatorService::Execute(
       std::string body;
       registry_.RenderPrometheus(&body);
       server::AppendBulk(out, body);
-    } else if (EqualsUpper(name, "CLUSTER") && cmd.args.size() >= 2) {
-      ExecuteCluster(cmd, out);
+    } else if (EqualsUpper(name, "CLUSTER")) {
+      if (cmd.args.size() < 2) {
+        server::AppendWrongArity(out, "CLUSTER");
+      } else {
+        ExecuteCluster(cmd, out);
+      }
     } else {
       std::string msg = "ERR unknown command '";
       msg.append(name.data(), std::min<size_t>(name.size(), 64));
@@ -342,7 +359,7 @@ void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
     server::AppendBulk(out, Routing().Serialize());
   } else if (EqualsUpper(sub, "ROUTE") && cmd.args.size() == 3) {
     WireRouting snapshot = Routing();
-    cluster::Router router = snapshot.BuildRouter();
+    Router router = snapshot.BuildRouter();
     std::string shard = router.Route(cmd.args[2]);
     if (shard.empty()) {
       server::AppendError(out, "CLUSTERDOWN no shards in the ring");

@@ -1,5 +1,6 @@
 #include "cluster_net/routing.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -35,13 +36,22 @@ Status WireRouting::Parse(const std::string& text, WireRouting* out) {
     return Status::Corruption("empty routing payload");
   }
   unsigned long long epoch = 0;
-  int vnodes = 0;
-  if (sscanf(line.c_str(), "epoch:%llu vnodes:%d", &epoch, &vnodes) != 2 ||
-      vnodes <= 0) {
+  int vnodes_at = -1;
+  if (sscanf(line.c_str(), "epoch:%llu vnodes:%n", &epoch, &vnodes_at) != 1 ||
+      vnodes_at < 0) {
+    return Status::Corruption("bad routing header: " + line);
+  }
+  // strtol, not %d: it reports overflow instead of wrapping into range.
+  const char* vnodes_digits = line.c_str() + vnodes_at;
+  char* vnodes_end = nullptr;
+  errno = 0;
+  long vnodes = strtol(vnodes_digits, &vnodes_end, 10);
+  if (vnodes_end == vnodes_digits || *vnodes_end != '\0' || errno != 0 ||
+      vnodes <= 0 || vnodes > kMaxVirtualNodes) {
     return Status::Corruption("bad routing header: " + line);
   }
   out->epoch = epoch;
-  out->virtual_nodes = vnodes;
+  out->virtual_nodes = static_cast<int>(vnodes);
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream fields(line);
@@ -55,8 +65,10 @@ Status WireRouting::Parse(const std::string& text, WireRouting* out) {
       return Status::Corruption("bad endpoint: " + endpoint);
     }
     rec.host = endpoint.substr(0, colon);
-    unsigned long port = strtoul(endpoint.c_str() + colon + 1, nullptr, 10);
-    if (port == 0 || port > 65535) {
+    const char* digits = endpoint.c_str() + colon + 1;
+    char* end = nullptr;
+    unsigned long port = strtoul(digits, &end, 10);
+    if (end == digits || *end != '\0' || port == 0 || port > 65535) {
       return Status::Corruption("bad port in endpoint: " + endpoint);
     }
     rec.port = static_cast<uint16_t>(port);
@@ -75,8 +87,8 @@ Status WireRouting::Parse(const std::string& text, WireRouting* out) {
   return Status::OK();
 }
 
-cluster::Router WireRouting::BuildRouter() const {
-  cluster::Router router(virtual_nodes);
+Router WireRouting::BuildRouter() const {
+  Router router(virtual_nodes);
   for (const NodeRecord& n : nodes) {
     if (!n.is_replica && n.healthy) router.AddInstance(n.shard);
   }

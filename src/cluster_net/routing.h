@@ -20,10 +20,16 @@
 #include <string>
 #include <vector>
 
-#include "cluster/router.h"
+#include "cluster_net/router.h"
 #include "common/status.h"
 
 namespace tierbase::cluster_net {
+
+/// Most virtual nodes per shard a routing table may carry. The payload is
+/// outside input (CLUSTER SETSLOTS, CLUSTER NODES) and BuildRouter inserts
+/// this many ring points per shard, so Parse rejects anything above it.
+/// Well above the 32-128 that deployments use.
+constexpr int kMaxVirtualNodes = 1024;
 
 struct NodeRecord {
   std::string id;      // Unique per process ("n1", "r1", ...).
@@ -48,7 +54,7 @@ struct WireRouting {
   static Status Parse(const std::string& text, WireRouting* out);
 
   /// Ring over every shard that currently has a healthy master.
-  cluster::Router BuildRouter() const;
+  Router BuildRouter() const;
 
   const NodeRecord* FindNode(const std::string& id) const;
   /// The healthy master serving `shard`, or nullptr while failed over.

@@ -11,8 +11,9 @@
 //
 // Write-through uses per-key write queues and write coalescing (§4.1.1);
 // write-back uses dirty tracking with batched merged flushes, backpressure,
-// and deferred cache-fetching (§4.1.2). An optional in-process replica
-// models the dual-replica reliability configuration of §6.4. Value
+// and deferred cache-fetching (§4.1.2). The dual-replica reliability setup
+// of §6.4 lives a layer up: a networked replica node pulls this instance's
+// oplog over REPLICAOF/REPLPULL (src/cluster_net/node_state.h). Value
 // compression (§4.2) and PMem placement (§4.3) are configured through the
 // embedded cache engine options.
 
@@ -26,7 +27,6 @@
 #include "cache/hash_engine.h"
 #include "core/deferred_fetch.h"
 #include "core/options.h"
-#include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/write_back.h"
 #include "core/write_through.h"
@@ -76,10 +76,6 @@ class TierBase : public KvEngine {
   /// cache-tier-only in this reproduction).
   cache::HashEngine* cache() { return cache_.get(); }
   StorageAdapter* storage() { return storage_; }
-  /// Non-null when ReplicationMode::kMasterReplica is configured (INFO
-  /// surfaces its lag; the wire-replication layer is separate).
-  Replicator* replicator() { return replicator_.get(); }
-  const Replicator* replicator() const { return replicator_.get(); }
   /// The workload observatory (live MRC / hot keys / keyspace shape), or
   /// null when options.analytics.enabled is false.
   analytics::WorkloadAnalytics* analytics() { return analytics_.get(); }
@@ -156,7 +152,6 @@ class TierBase : public KvEngine {
   std::unique_ptr<PerKeyCoalescer> write_through_;
   std::unique_ptr<WriteBackManager> write_back_;
   std::unique_ptr<DeferredFetcher> fetcher_;
-  std::unique_ptr<Replicator> replicator_;
 
   // WAL persistence modes.
   std::unique_ptr<lsm::WalWriter> wal_;

@@ -130,18 +130,29 @@ RunResult ReplayTrace(KvEngine* engine, const Trace& trace, int threads,
   Stopwatch watch;
 
   // Threads claim ops from a shared cursor rather than a round-robin
-  // pre-partition: no thread can run more than its one in-flight op ahead
-  // of the others, preserving the trace's temporal order (and therefore
-  // its recency locality) under concurrent replay.
+  // pre-partition, preserving the trace's temporal order (and therefore
+  // its recency locality) under concurrent replay. The cursor alone does
+  // not bound reordering: a thread descheduled between claiming op i and
+  // issuing it lets the others run a whole time slice ahead. So no op
+  // starts more than kReorderWindow positions past the oldest unfinished
+  // one (`finished` is the length of the finished prefix).
+  constexpr uint64_t kReorderWindow = 1024;
+  const size_t n = trace.ops.size();
+  std::vector<std::atomic<bool>> done(n);
   std::atomic<uint64_t> cursor{0};
+  std::atomic<uint64_t> finished{0};
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       double per_thread_interval =
           target_qps > 0 ? 1e6 * threads / target_qps : 0;
       double next = static_cast<double>(Clock::Real()->NowMicros());
-      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-           i < trace.ops.size();
+      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
            i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        // Cannot wait forever: every op below i is claimed, and the one at
+        // `finished` is inside the window, so its thread is not waiting.
+        while (i >= finished.load(std::memory_order_acquire) + kReorderWindow) {
+          std::this_thread::yield();
+        }
         if (per_thread_interval > 0) {
           next += per_thread_interval;
           uint64_t now = Clock::Real()->NowMicros();
@@ -167,6 +178,16 @@ RunResult ReplayTrace(KvEngine* engine, const Trace& trace, int threads,
           not_found.fetch_add(1, std::memory_order_relaxed);
         } else if (!s.ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
+        }
+        // Extend the finished prefix over every op done so far. Whoever
+        // finishes the op at the prefix's end moves it on.
+        done[i].store(true, std::memory_order_release);
+        uint64_t f = finished.load(std::memory_order_acquire);
+        while (f < n && done[f].load(std::memory_order_acquire)) {
+          if (finished.compare_exchange_weak(f, f + 1,
+                                             std::memory_order_acq_rel)) {
+            ++f;
+          }
         }
       }
     });

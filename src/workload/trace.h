@@ -55,8 +55,10 @@ Trace SynthesizeTrace(const SynthesizeOptions& options);
 Status WriteTrace(const Trace& trace, const std::string& path);
 Result<Trace> ReadTrace(const std::string& path);
 
-/// Replays a trace against an engine. `threads` split the op stream
-/// round-robin. Keys must have been pre-loaded where the trace expects it.
+/// Replays a trace against an engine. `threads` claim ops in trace order
+/// from a shared cursor, and no op starts more than 1024 positions past the
+/// oldest unfinished one. Keys must have been pre-loaded where the trace
+/// expects it.
 RunResult ReplayTrace(KvEngine* engine, const Trace& trace, int threads,
                       double target_qps = 0);
 

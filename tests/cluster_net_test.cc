@@ -1,14 +1,16 @@
-// Tests for the networked cluster subsystem (src/cluster_net/): wire
-// routing, the coordinator control plane, -MOVED handling, the smart
-// client's scatter–gather, wire replication with gap-triggered full
-// resync, replica promotion, kill-a-master-under-YCSB continuity, and the
-// RESP proxy.
+// Tests for the networked cluster subsystem (src/cluster_net/): the
+// consistent-hash router, wire routing, the coordinator control plane,
+// -MOVED handling, the smart client's scatter–gather, wire replication
+// with gap-triggered full resync, replica promotion and recovery,
+// kill-a-master-under-YCSB continuity, write-through nodes over LSM
+// storage, and the RESP proxy.
 //
 // Everything boots in-process on loopback with ephemeral ports, so the
 // suite also runs under ASan/UBSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -22,6 +24,8 @@
 #include "cluster_net/oplog.h"
 #include "cluster_net/proxy.h"
 #include "cluster_net/routing.h"
+#include "common/env.h"
+#include "core/storage_adapter.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "tierbase/workload.h"
@@ -53,7 +57,7 @@ TEST(WireRoutingTest, SerializeParseRoundTrip) {
   EXPECT_EQ(7003, parsed.nodes[2].port);
 
   // The ring only contains shards with a healthy master: n2 is down.
-  cluster::Router router = parsed.BuildRouter();
+  Router router = parsed.BuildRouter();
   EXPECT_TRUE(router.Contains("n1"));
   EXPECT_FALSE(router.Contains("n2"));
   EXPECT_EQ(nullptr, parsed.MasterOfShard("n2"));
@@ -72,6 +76,146 @@ TEST(WireRoutingTest, ParseRejectsGarbage) {
   EXPECT_FALSE(
       WireRouting::Parse("epoch:1 vnodes:64\nn1 h:1 emperor n1 up\n", &parsed)
           .ok());
+
+  // The payload is outside input and BuildRouter inserts `vnodes` ring
+  // points per shard: a huge count must not get that far.
+  ASSERT_TRUE(WireRouting::Parse("epoch:1 vnodes:1024\n", &parsed).ok());
+  EXPECT_EQ(kMaxVirtualNodes, parsed.virtual_nodes);
+  EXPECT_FALSE(WireRouting::Parse("epoch:1 vnodes:1025\n", &parsed).ok());
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:1 vnodes:2000000000\n", &parsed).ok());
+  // 2^32 + 64: wraps to 64 if read into an int.
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:1 vnodes:4294967360\n", &parsed).ok());
+  // A port with trailing characters is not a port.
+  EXPECT_FALSE(
+      WireRouting::Parse("epoch:1 vnodes:64\nn1 h:12ab master n1 up\n",
+                         &parsed)
+          .ok());
+
+  // The coordinator refuses to serve a table its own peers would reject.
+  CoordinatorService::Options options;
+  options.virtual_nodes = kMaxVirtualNodes + 1;
+  CoordinatorService coordinator(options);
+  EXPECT_TRUE(coordinator.Start().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// Router: the consistent-hash ring every participant builds from a
+// WireRouting snapshot.
+// ---------------------------------------------------------------------------
+
+Router RouterOver(const std::vector<std::string>& ids, int vnodes = 64) {
+  Router router(vnodes);
+  for (const std::string& id : ids) router.AddInstance(id);
+  return router;
+}
+
+TEST(RouterTest, EmptyRingRoutesNowhere) {
+  Router router;
+  EXPECT_EQ("", router.Route("key"));
+}
+
+TEST(RouterTest, SingleInstanceOwnsEverything) {
+  Router router = RouterOver({"only"});
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ("only", router.Route("key" + std::to_string(i)));
+  }
+}
+
+TEST(RouterTest, RoutingIsDeterministic) {
+  Router a = RouterOver({"n1", "n2", "n3"});
+  Router b = RouterOver({"n1", "n2", "n3"});
+  for (int i = 0; i < 200; ++i) {
+    std::string key = "key" + std::to_string(i);
+    EXPECT_EQ(a.Route(key), b.Route(key));
+  }
+}
+
+TEST(RouterTest, DuplicateAddIsNoop) {
+  Router router = RouterOver({"a", "a"});
+  EXPECT_EQ(1u, router.num_instances());
+}
+
+TEST(RouterTest, RemovalOnlyRemapsOwnedKeys) {
+  // Dropping a failed shard rebuilds the ring without it
+  // (WireRouting::BuildRouter); only the keys it owned may move.
+  Router before = RouterOver({"a", "b", "c", "d"});
+  Router after = RouterOver({"a", "c", "d"});
+  int moved = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string key = "key" + std::to_string(i);
+    std::string owner = before.Route(key);
+    std::string now = after.Route(key);
+    EXPECT_NE("b", now);
+    if (owner == "b") {
+      ++moved;
+    } else {
+      EXPECT_EQ(owner, now) << key;
+    }
+  }
+  EXPECT_GT(moved, 0);
+}
+
+TEST(RouterTest, StaleSnapshotStillRoutesToFailedShard) {
+  // A client acting on a stale snapshot keeps sending a failed shard's
+  // keys to it (and gets -MOVED or a failed connect); the fresh snapshot
+  // has a new owner and a bumped epoch, the signal that triggers the
+  // pull-based refresh.
+  WireRouting stale;
+  stale.epoch = 5;
+  stale.nodes.push_back({"n1", "127.0.0.1", 7001, false, "n1", true});
+  stale.nodes.push_back({"n2", "127.0.0.1", 7002, false, "n2", true});
+  Router stale_router = stale.BuildRouter();
+  std::string n1_key;
+  for (int i = 0; n1_key.empty(); ++i) {
+    ASSERT_LT(i, 10000);
+    std::string key = "key" + std::to_string(i);
+    if (stale_router.Route(key) == "n1") n1_key = key;
+  }
+
+  WireRouting fresh = stale;
+  fresh.nodes[0].healthy = false;
+  ++fresh.epoch;
+  EXPECT_EQ("n1", stale_router.Route(n1_key));
+  EXPECT_GT(fresh.epoch, stale.epoch);
+  EXPECT_EQ("n2", fresh.BuildRouter().Route(n1_key));
+}
+
+TEST(RouterTest, VirtualNodesBoundOwnershipSkew) {
+  // With 128 vnodes per shard, no shard's share of a fixed key set strays
+  // past 2x from the fair 1/4: the even-sharding tolerance the
+  // scatter-gather batch split relies on for balanced sub-batches.
+  Router router = RouterOver({"node0", "node1", "node2", "node3"}, 128);
+  constexpr int kKeys = 40000;
+  std::map<std::string, int> counts;
+  for (int i = 0; i < kKeys; ++i) {
+    ++counts[router.Route("key" + std::to_string(i))];
+  }
+  ASSERT_EQ(4u, counts.size());
+  int min_count = kKeys, max_count = 0;
+  for (const auto& [id, count] : counts) {
+    min_count = std::min(min_count, count);
+    max_count = std::max(max_count, count);
+  }
+  EXPECT_GT(min_count, kKeys / 4 / 2);
+  EXPECT_LT(max_count, kKeys / 4 * 2);
+  EXPECT_LT(max_count, 3 * min_count);
+}
+
+TEST(RouterTest, SingleNodeRingSurvivesRemovalOfOthers) {
+  // Shrinking to one healthy shard leaves it owning everything (the
+  // degenerate ring the cluster passes through during rolling kills).
+  WireRouting routing;
+  routing.nodes.push_back({"a", "127.0.0.1", 7001, false, "a", true});
+  routing.nodes.push_back({"b", "127.0.0.1", 7002, false, "b", false});
+  Router router = routing.BuildRouter();
+  EXPECT_EQ(1u, router.num_instances());
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ("a", router.Route("key" + std::to_string(i)));
+  }
+  routing.nodes[0].healthy = false;
+  EXPECT_EQ("", routing.BuildRouter().Route("key"));
 }
 
 TEST(OpLogTest, SequencesAndGapDetection) {
@@ -112,6 +256,7 @@ TEST(OpLogTest, SequencesAndGapDetection) {
 // ---------------------------------------------------------------------------
 
 struct DataNode {
+  std::unique_ptr<LsmStorageAdapter> storage;  // Write-through nodes only.
   std::unique_ptr<TierBase> db;
   std::unique_ptr<server::Server> srv;
   std::unique_ptr<NodeClusterState> cluster;
@@ -131,13 +276,26 @@ class ClusterNetTest : public ::testing::Test {
     ASSERT_TRUE(coordinator_->Start().ok());
   }
 
-  DataNode* StartNode(const std::string& id, size_t oplog_cap = 65536) {
+  /// A cache-only node, or with `lsm_dir` a write-through node over its
+  /// own LSM storage tier in that directory.
+  DataNode* StartNode(const std::string& id, size_t oplog_cap = 65536,
+                      const std::string& lsm_dir = "") {
     auto node = std::make_unique<DataNode>();
     node->id = id;
     TierBaseOptions options;
     options.policy = CachingPolicy::kCacheOnly;
     options.cache.shards = 2;
-    auto db = TierBase::Open(options, nullptr);
+    if (!lsm_dir.empty()) {
+      lsm::LsmOptions lsm_options;
+      lsm_options.dir = lsm_dir;
+      lsm_options.memtable_bytes = 256 * 1024;
+      auto storage = LsmStorageAdapter::Open(lsm_options);
+      EXPECT_TRUE(storage.ok()) << storage.status().ToString();
+      node->storage = std::move(*storage);
+      options.policy = CachingPolicy::kWriteThrough;
+      options.cache.memory_budget = 1 << 20;
+    }
+    auto db = TierBase::Open(options, node->storage.get());
     EXPECT_TRUE(db.ok());
     node->db = std::move(*db);
 
@@ -187,10 +345,19 @@ class ClusterNetTest : public ::testing::Test {
     }
     for (auto& node : nodes_) node->srv->Stop();
     if (coordinator_ != nullptr) coordinator_->Stop();
+    nodes_.clear();  // Closes any LSM storage before its directory goes.
+    if (!dir_.empty()) env::RemoveDirRecursive(dir_);
+  }
+
+  /// Per-test scratch directory for LSM-backed nodes (made on first use).
+  std::string Dir() {
+    if (dir_.empty()) dir_ = env::MakeTempDir("tb_cluster_net");
+    return dir_;
   }
 
   std::unique_ptr<CoordinatorService> coordinator_;
   std::vector<std::unique_ptr<DataNode>> nodes_;
+  std::string dir_;
 };
 
 TEST_F(ClusterNetTest, CoordinatorRegistersRoutesAndServesNodes) {
@@ -221,6 +388,68 @@ TEST_F(ClusterNetTest, CoordinatorRegistersRoutesAndServesNodes) {
   ASSERT_TRUE(cli.Call({"CLUSTER", "ADDNODE", "n1", "127.0.0.1", "1"}, &v)
                   .ok());
   EXPECT_TRUE(v.IsError());
+
+  // PING and arity errors read the same as a data node's.
+  Client node_cli;
+  ASSERT_TRUE(node_cli.Connect("127.0.0.1", n1->port()).ok());
+  const std::vector<std::vector<Slice>> same_reply = {
+      {"PING"}, {"PING", "hello"}, {"PING", "a", "b"}, {"CLUSTER"}};
+  for (const std::vector<Slice>& cmd : same_reply) {
+    RespValue node_reply;
+    ASSERT_TRUE(cli.Call(cmd, &v).ok());
+    ASSERT_TRUE(node_cli.Call(cmd, &node_reply).ok());
+    EXPECT_EQ(node_reply.type, v.type) << cmd[0].ToString() << " " << v.str;
+    EXPECT_EQ(node_reply.str, v.str) << cmd[0].ToString();
+  }
+  ASSERT_TRUE(cli.Call({"PING", "hello"}, &v).ok());
+  EXPECT_EQ(RespValue::Type::kBulkString, v.type);
+  EXPECT_EQ("hello", v.str);
+  ASSERT_TRUE(cli.Call({"PING", "a", "b"}, &v).ok());
+  EXPECT_EQ("ERR wrong number of arguments for 'ping' command", v.str);
+  ASSERT_TRUE(cli.Call({"CLUSTER"}, &v).ok());
+  EXPECT_EQ("ERR wrong number of arguments for 'cluster' command", v.str);
+}
+
+TEST_F(ClusterNetTest, WriteThroughNodesEachHoldAShareInStorage) {
+  // Three write-through nodes, each over its own LSM directory, behind the
+  // smart client: the Figure 3 topology with the storage tier in play.
+  StartCoordinator();
+  std::vector<DataNode*> nodes;
+  for (int n = 0; n < 3; ++n) {
+    std::string id = "tb" + std::to_string(n);
+    nodes.push_back(StartNode(id, 65536, Dir() + "/" + id));
+    ASSERT_TRUE(Register(*nodes.back()).ok());
+  }
+  auto client = SmartClient();
+  const int kKeys = 600;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(
+        client->Set("key" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(client->WaitIdle().ok());
+  std::string value;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(client->Get("key" + std::to_string(i), &value).ok());
+    ASSERT_EQ("v" + std::to_string(i), value);
+  }
+  // Write-through: every key sits in exactly one node's storage tier, and
+  // every node's storage tier holds a share.
+  std::vector<int> stored(nodes.size(), 0);
+  for (int i = 0; i < kKeys; ++i) {
+    std::string key = "key" + std::to_string(i);
+    int holders = 0;
+    for (size_t n = 0; n < nodes.size(); ++n) {
+      if (nodes[n]->storage->Read(key, &value).ok()) {
+        EXPECT_EQ("v" + std::to_string(i), value);
+        ++stored[n];
+        ++holders;
+      }
+    }
+    EXPECT_EQ(1, holders) << key;
+  }
+  for (size_t n = 0; n < nodes.size(); ++n) {
+    EXPECT_GT(stored[n], 0) << nodes[n]->id;
+  }
 }
 
 TEST_F(ClusterNetTest, MisroutedKeysAnswerMoved) {
@@ -231,7 +460,7 @@ TEST_F(ClusterNetTest, MisroutedKeysAnswerMoved) {
   ASSERT_TRUE(Register(*n2).ok());
 
   // Find keys owned by each shard via the coordinator's own router.
-  cluster::Router router = coordinator_->Routing().BuildRouter();
+  Router router = coordinator_->Routing().BuildRouter();
   std::string n1_key, n2_key;
   for (int i = 0; n1_key.empty() || n2_key.empty(); ++i) {
     ASSERT_LT(i, 10000);
@@ -302,6 +531,83 @@ TEST_F(ClusterNetTest, SmartClientRoutesAndScatterGathers) {
   EXPECT_TRUE(client->Get("nosuch", &value).IsNotFound());
   EXPECT_TRUE(client->Delete("k0").ok());
   EXPECT_TRUE(client->Get("k0", &value).IsNotFound());
+}
+
+TEST_F(ClusterNetTest, EmptyClusterIsUnavailable) {
+  StartCoordinator();
+  auto client = SmartClient();
+  std::string value;
+  EXPECT_TRUE(client->Set("k", "v").IsUnavailable());
+  EXPECT_TRUE(client->Get("k", &value).IsUnavailable());
+}
+
+TEST_F(ClusterNetTest, ScaleOutRoutesNewWritesToJoinedNode) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+  auto client = SmartClient();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(client->Set("key" + std::to_string(i), "v").ok());
+  }
+
+  // A node joins. The client's snapshot is now stale: n1 answers -MOVED
+  // for the keys n2 took over, and the client refreshes and retries. (No
+  // data migrates; only new writes are checked.)
+  DataNode* n2 = StartNode("n2");
+  ASSERT_TRUE(Register(*n2).ok());
+  for (int i = 100; i < 200; ++i) {
+    ASSERT_TRUE(client->Set("key" + std::to_string(i), "v2").ok());
+  }
+  std::string value;
+  for (int i = 100; i < 200; ++i) {
+    ASSERT_TRUE(client->Get("key" + std::to_string(i), &value).ok());
+    EXPECT_EQ("v2", value);
+  }
+  EXPECT_GT(n2->db->cache()->GetUsage().keys, 0u);
+  EXPECT_GE(client->GetStats().moved_redirects, 1u);
+  EXPECT_EQ(coordinator_->epoch(), client->epoch());
+}
+
+TEST_F(ClusterNetTest, RecoverRejoinsAsMasterOrAsReplicaOfPromoted) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  DataNode* n2 = StartNode("n2");
+  DataNode* r1 = StartNode("r1");
+  ASSERT_TRUE(Register(*n1).ok());
+  ASSERT_TRUE(Register(*n2).ok());
+  ASSERT_TRUE(Register(*r1, "n1").ok());
+  Client cli;
+  ASSERT_TRUE(cli.Connect("127.0.0.1", coordinator_->port()).ok());
+  RespValue v;
+
+  // A master with no replica leaves the ring on failure and comes back as
+  // the master of its own shard.
+  uint64_t epoch = coordinator_->epoch();
+  ASSERT_TRUE(cli.Call({"CLUSTER", "FAIL", "n2"}, &v).ok());
+  EXPECT_EQ("OK", v.str);
+  EXPECT_GT(coordinator_->epoch(), epoch);
+  EXPECT_FALSE(coordinator_->Routing().BuildRouter().Contains("n2"));
+  epoch = coordinator_->epoch();
+  ASSERT_TRUE(cli.Call({"CLUSTER", "RECOVER", "n2"}, &v).ok());
+  EXPECT_EQ("OK", v.str);
+  EXPECT_GT(coordinator_->epoch(), epoch);
+  EXPECT_TRUE(coordinator_->Routing().BuildRouter().Contains("n2"));
+  EXPECT_FALSE(n2->cluster->is_replica());
+
+  // A master whose replica was promoted meanwhile rejoins as a replica of
+  // the promoted node.
+  ASSERT_TRUE(cli.Call({"CLUSTER", "FAIL", "n1"}, &v).ok());
+  EXPECT_FALSE(r1->cluster->is_replica());
+  ASSERT_TRUE(cli.Call({"CLUSTER", "RECOVER", "n1"}, &v).ok());
+  EXPECT_EQ("OK", v.str);
+  EXPECT_TRUE(n1->cluster->is_replica());
+  EXPECT_EQ("127.0.0.1:" + std::to_string(r1->port()),
+            n1->cluster->master_endpoint());
+  WireRouting routing = coordinator_->Routing();
+  ASSERT_NE(nullptr, routing.MasterOfShard("n1"));
+  EXPECT_EQ("r1", routing.MasterOfShard("n1")->id);
+  ASSERT_TRUE(cli.Call({"CLUSTER", "RECOVER", "ghost"}, &v).ok());
+  EXPECT_TRUE(v.IsError());
 }
 
 TEST_F(ClusterNetTest, WireReplicationStreamsAndWaitAcks) {
@@ -411,6 +717,7 @@ TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
   cli.Close();
 
   const uint64_t epoch_before = coordinator_->epoch();
+  const NetClusterClient::Stats stats_before = client->GetStats();
 
   // Kill the master. The next op routed to it fails, the client reports
   // the failure, the coordinator promotes r1 and bumps the epoch, and the
@@ -431,6 +738,15 @@ TEST_F(ClusterNetTest, FailoverPromotesReplicaAndClientsConverge) {
   EXPECT_GT(coordinator_->epoch(), epoch_before);
   EXPECT_EQ(1u, coordinator_->failovers());
   EXPECT_FALSE(r1->cluster->is_replica());
+  // The failover costs one report and one refresh, not one per key that
+  // the dead master owned: later reads route straight to the promoted
+  // replica.
+  constexpr uint64_t kMaxFailoverCost = 3;
+  const NetClusterClient::Stats stats_after = client->GetStats();
+  EXPECT_LE(stats_after.failures_reported - stats_before.failures_reported,
+            kMaxFailoverCost);
+  EXPECT_LE(stats_after.route_refreshes - stats_before.route_refreshes,
+            kMaxFailoverCost);
 
   // Promotion is observable via CLUSTER EPOCH and INFO role.
   Client rcli;

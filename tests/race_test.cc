@@ -7,7 +7,7 @@
 //   * cache eviction vs cross-shard MultiGet/MultiSet batches
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
-//   * the replication apply thread vs concurrent reads
+//   * the wire-replica pull/apply thread vs concurrent reads
 //   * the server event loop vs a SHUTDOWN drain under client load
 //   * multi-reactor accept-distribute (cross-loop connection hand-off)
 //     vs a racing SHUTDOWN
@@ -21,6 +21,7 @@
 // minute even at TSan's slowdown on one core.
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,13 +31,13 @@
 
 #include "analytics/workload_analytics.h"
 #include "cache/hash_engine.h"
+#include "cluster_net/node_state.h"
 #include "cluster_net/oplog.h"
 #include "common/hash.h"
 #include "common/circuit_breaker.h"
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/metrics.h"
-#include "core/replication.h"
 #include "core/storage_adapter.h"
 #include "core/tierbase.h"
 #include "core/write_back.h"
@@ -185,43 +186,83 @@ TEST(RaceTest, ExecutorScaleUpVsSubmit) {
   EXPECT_EQ(done.load(), kSubmitters * kTasks);
 }
 
-// --- Seam 4: replication apply thread vs concurrent reads. --------------
+// --- Seam 4: wire-replica apply thread vs concurrent reads. -------------
 
-TEST(RaceTest, ReplicatorApplyVsReads) {
-  Replicator::Options opt;
-  opt.max_lag_ops = 64;  // Small oplog: appenders hit the space wait.
-  Replicator repl(opt);
+TEST(RaceTest, WireReplicaApplyVsReads) {
+  TierBaseOptions db_opt;
+  db_opt.policy = CachingPolicy::kCacheOnly;
+  db_opt.cache.shards = 2;
+  auto master_db = TierBase::Open(db_opt, nullptr);
+  auto replica_db = TierBase::Open(db_opt, nullptr);
+  ASSERT_TRUE(master_db.ok());
+  ASSERT_TRUE(replica_db.ok());
+
+  cluster_net::NodeClusterState::Options master_opt;
+  master_opt.id = "m";
+  master_opt.oplog_capacity = 64;  // Small ring: the puller may resync.
+  cluster_net::NodeClusterState master(master_db.value().get(), master_opt);
+  server::ServerOptions srv_opt;
+  srv_opt.executor.max_threads = 2;
+  server::Server srv(master_db.value().get(), srv_opt);
+  srv.commands()->set_cluster(&master);
+  ASSERT_TRUE(srv.Start().ok());
+  const uint16_t port = srv.port();
+
+  cluster_net::NodeClusterState::Options replica_opt;
+  replica_opt.id = "r";
+  replica_opt.pull_interval_micros = 200;
+  cluster_net::NodeClusterState replica(replica_db.value().get(),
+                                        replica_opt);
+  ASSERT_TRUE(replica.StartReplicaOf("127.0.0.1", port).ok());
 
   constexpr int kWriters = 2;
   constexpr int kOps = 300;
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&repl, t] {
+    threads.emplace_back([port, t] {
+      server::Client c;
+      ASSERT_TRUE(c.Connect("127.0.0.1", port).ok());
+      server::RespValue reply;
       for (int i = 0; i < kOps; ++i) {
-        repl.ReplicateSet(Key(t, i % 40), "v" + std::to_string(i));
-        if (i % 10 == 9) repl.ReplicateDelete(Key(t, i % 40));
+        ASSERT_TRUE(
+            c.Call({"SET", Key(t, i % 40), "v" + std::to_string(i)}, &reply)
+                .ok());
+        if (i % 10 == 9) {
+          ASSERT_TRUE(c.Call({"DEL", Key(t, i % 40)}, &reply).ok());
+        }
       }
     });
   }
-  threads.emplace_back([&repl, &stop] {
-    std::string v;
+  TierBase* rdb = replica_db.value().get();
+  threads.emplace_back([rdb, &replica, &stop] {
+    std::string v, info;
     while (!stop.load(std::memory_order_acquire)) {
-      (void)repl.applied_ops();
-      (void)repl.lag();
-      (void)repl.mutable_replica()->Get("k0_0", &v);
+      (void)replica.replica_applied_seq();
+      (void)replica.replica_lag();
+      info.clear();
+      replica.AppendInfo(&info);
+      (void)rdb->Get("k0_0", &v);
     }
   });
   for (int t = 0; t < kWriters; ++t) threads[t].join();
-  repl.WaitCaughtUp();
+
+  // Every acknowledged write is in the master's oplog; the replica catches
+  // up to its head while the reader keeps racing the apply thread.
+  const uint64_t head = master.oplog()->head_seq();
+  for (int i = 0; i < 5000 && replica.replica_applied_seq() < head; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true, std::memory_order_release);
   threads.back().join();
+  replica.StopReplication();
+  srv.Stop();
 
-  EXPECT_EQ(repl.lag(), 0u);
+  EXPECT_GE(replica.replica_applied_seq(), head);
   // k0_18 is only ever Set, never Deleted (i%40==18 never has i%10==9),
   // so once caught up it must be visible on the replica.
   std::string v;
-  EXPECT_TRUE(repl.mutable_replica()->Get(Key(0, 18), &v).ok());
+  EXPECT_TRUE(rdb->Get(Key(0, 18), &v).ok());
 }
 
 // --- Seam 5: server event loop vs SHUTDOWN drain under load. ------------
