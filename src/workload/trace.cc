@@ -134,24 +134,41 @@ RunResult ReplayTrace(KvEngine* engine, const Trace& trace, int threads,
   // its recency locality) under concurrent replay. The cursor alone does
   // not bound reordering: a thread descheduled between claiming op i and
   // issuing it lets the others run a whole time slice ahead. So no op
-  // starts more than kReorderWindow positions past the oldest unfinished
-  // one (`finished` is the length of the finished prefix).
+  // starts more than kReorderWindow positions past the oldest op a thread
+  // still holds. Each thread publishes the op it holds in its own cache
+  // line and keeps the previous one there until the next claim is
+  // published, so the slots' minimum never overstates the oldest unfinished
+  // op and never decreases. A thread re-reads the slots only when it
+  // reaches the edge of the window it last saw.
   constexpr uint64_t kReorderWindow = 1024;
-  const size_t n = trace.ops.size();
-  std::vector<std::atomic<bool>> done(n);
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> op{0};
+  };
+  const uint64_t n = trace.ops.size();
+  std::vector<Slot> slots(static_cast<size_t>(threads));
+  auto oldest_held = [&] {
+    uint64_t oldest = n;
+    for (const Slot& slot : slots) {
+      oldest = std::min(oldest, slot.op.load(std::memory_order_acquire));
+    }
+    return oldest;
+  };
   std::atomic<uint64_t> cursor{0};
-  std::atomic<uint64_t> finished{0};
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       double per_thread_interval =
           target_qps > 0 ? 1e6 * threads / target_qps : 0;
       double next = static_cast<double>(Clock::Real()->NowMicros());
-      for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
+      std::atomic<uint64_t>& held = slots[static_cast<size_t>(t)].op;
+      uint64_t oldest = 0;
+      for (uint64_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
            i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        // Cannot wait forever: every op below i is claimed, and the one at
-        // `finished` is inside the window, so its thread is not waiting.
-        while (i >= finished.load(std::memory_order_acquire) + kReorderWindow) {
-          std::this_thread::yield();
+        held.store(i, std::memory_order_release);
+        // Cannot wait forever: the thread holding the oldest op is inside
+        // the window, so it is not waiting.
+        while (i >= oldest + kReorderWindow) {
+          oldest = oldest_held();
+          if (i >= oldest + kReorderWindow) std::this_thread::yield();
         }
         if (per_thread_interval > 0) {
           next += per_thread_interval;
@@ -179,17 +196,8 @@ RunResult ReplayTrace(KvEngine* engine, const Trace& trace, int threads,
         } else if (!s.ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
         }
-        // Extend the finished prefix over every op done so far. Whoever
-        // finishes the op at the prefix's end moves it on.
-        done[i].store(true, std::memory_order_release);
-        uint64_t f = finished.load(std::memory_order_acquire);
-        while (f < n && done[f].load(std::memory_order_acquire)) {
-          if (finished.compare_exchange_weak(f, f + 1,
-                                             std::memory_order_acq_rel)) {
-            ++f;
-          }
-        }
       }
+      held.store(n, std::memory_order_release);
     });
   }
   for (auto& w : workers) w.join();
