@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Cluster smoke: boots a coordinator, two masters, one replica and the
-# RESP proxy; registers the topology; drives traffic through the proxy and
-# the smart client; kills a master mid-flight and verifies the replica is
-# promoted with no lost keys; checks SCAN/DBSIZE key placement; then shuts
-# everything down without leaking a process. Used by the CI cluster-smoke
+# RESP proxy; registers the topology; checks the proxy and the coordinator
+# answer the shared commands as a node does; drives traffic through the
+# proxy and the smart client; kills a master mid-flight and verifies the
+# replica is promoted with no lost keys; checks SCAN/DBSIZE key placement;
+# then shuts everything down without leaking a process. Used by the CI cluster-smoke
 # job; runnable locally:
 #
 #   ./scripts/cluster_smoke.sh ./build
@@ -72,6 +73,23 @@ PIDS+=($!); PROXY_PID=$!
 wait_port_file "$WORK/proxy.port" "$PROXY_PID"
 PP=$(cat "$WORK/proxy.port")
 
+# --- One command registry: the proxy and the coordinator answer a shared
+# command exactly as a node does, and the proxy's COMMAND lists what it
+# forwards. ---
+NODE_PING=$("$CLI" -p "$N1" PING a b || true)
+case "$NODE_PING" in
+  "(error) ERR wrong number of arguments for 'ping' command") ;;
+  *) fail "node PING a b: got '$NODE_PING'" ;;
+esac
+for port in "$CP" "$PP"; do
+  got=$("$CLI" -p "$port" PING a b || true)
+  [ "$got" = "$NODE_PING" ] || \
+    fail "PING a b on port $port: got '$got', want '$NODE_PING'"
+done
+PROXY_COMMANDS=$("$CLI" -p "$PP" COMMAND)
+grep -q '"get"' <<< "$PROXY_COMMANDS" || fail "proxy COMMAND lists no get"
+echo "smoke: proxy and coordinator answer shared commands as a node does"
+
 # --- Data path through the proxy; placement checked via SCAN/DBSIZE. ---
 KEYS=40
 for i in $(seq 1 $KEYS); do
@@ -96,8 +114,10 @@ echo "smoke: $KEYS keys split $N1_KEYS/$N2_KEYS, replica caught up"
 # --- YCSB through both cluster paths. ---
 "$YCSB" --workload A --records 5000 --ops 5000 --batch 16 \
   --cluster "127.0.0.1:$CP" | grep -q "run " || fail "smart-client YCSB"
+# INFO is read whole before it is searched: a reader that stops at the
+# first match would SIGPIPE the CLI, and pipefail would fail the smoke.
 info_field() { # info_field <port> <key>
-  "$CLI" -p "$1" INFO | tr -d '\r"' | grep -m1 "^$2:" | cut -d: -f2
+  "$CLI" -p "$1" INFO | tr -d '\r"' | sed -n "s/^$2://p"
 }
 N2_CMDS0=$(info_field "$N2" total_commands_processed)
 N2_BATCHES0=$(info_field "$N2" dispatched_batches)
@@ -117,7 +137,8 @@ kill -9 "$N1_PID"
 expect "OK" "$CP" CLUSTER FAIL n1
 EPOCH1=$("$CLI" -p "$CP" CLUSTER EPOCH | tr -dc '0-9')
 [ "$EPOCH1" -gt "$EPOCH0" ] || fail "epoch did not bump on failover"
-"$CLI" -p "$R1" INFO | grep -q "role:master" || fail "replica not promoted"
+grep -q "role:master" <<< "$("$CLI" -p "$R1" INFO)" || \
+  fail "replica not promoted"
 for i in $(seq 1 $KEYS); do
   got=$("$CLI" -p "$PP" GET "smoke:$i")
   [ "$got" = "\"v$i\"" ] || fail "lost smoke:$i after failover (got $got)"

@@ -124,7 +124,7 @@ for _ in $(seq 1 150); do
   sleep 0.1
 done
 [ "$PROMOTED" -eq 1 ] || fail "replica not promoted"
-"$CLI" -p "$CP" INFO | grep -q "probe_marked_failed:" || \
+grep -q "probe_marked_failed:" <<< "$("$CLI" -p "$CP" INFO)" || \
   fail "coordinator INFO lacks probe counters"
 echo "smoke: prober failed n1, replica promoted (epoch $EPOCH0 -> $EPOCH1)"
 

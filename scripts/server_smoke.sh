@@ -47,8 +47,9 @@ expect '1) "1"
 3) (nil)' MGET a b nosuch
 expect "(integer) 1" INCR smoke:counter
 expect "(integer) 1" DEL a
-"$CLI" -p "$PORT" INFO | grep -q "keyspace_hits:" || fail "INFO missing stats"
-"$CLI" -p "$PORT" INFO | grep -q "bytes_cached:" || fail "INFO missing memory"
+INFO=$("$CLI" -p "$PORT" INFO)
+grep -q "keyspace_hits:" <<< "$INFO" || fail "INFO missing stats"
+grep -q "bytes_cached:" <<< "$INFO" || fail "INFO missing memory"
 
 expect "OK" SHUTDOWN
 

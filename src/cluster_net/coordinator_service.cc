@@ -6,7 +6,6 @@
 
 #include "common/mutex.h"
 #include "server/client.h"
-#include "server/command.h"
 
 namespace tierbase::cluster_net {
 
@@ -33,6 +32,8 @@ CoordinatorService::CoordinatorService(Options options)
     : options_(std::move(options)) {
   routing_.virtual_nodes = options_.virtual_nodes;
   routing_.epoch = 1;
+  RegisterSharedCommands(&registry_, nullptr, nullptr);
+  Add({"CLUSTER", 2, 0, 0, {}}, &CoordinatorService::Cluster);
   RegisterInstruments();
 }
 
@@ -83,7 +84,12 @@ Status CoordinatorService::Start() {
         std::string out;
         bool close_connection = false;
         bool shutdown_server = false;
-        Execute(batch.cmds, &out, &close_connection, &shutdown_server);
+        for (const server::RespCommand& cmd : batch.cmds) {
+          server::CommandCall call{cmd.args, &out};
+          Execute(cmd.args.empty() ? -1 : Find(cmd.args[0]), call);
+          close_connection |= call.close_connection;
+          shutdown_server |= call.shutdown_server;
+        }
         conn->CompleteBatch(std::move(out), close_connection,
                             shutdown_server);
       });
@@ -300,67 +306,18 @@ void CoordinatorService::ProbeLoop() {
 // RESP front end.
 // ---------------------------------------------------------------------------
 
-void CoordinatorService::Execute(
-    const std::vector<server::RespCommand>& cmds, std::string* out,
-    bool* close_connection, bool* shutdown_server) {
-  for (const server::RespCommand& cmd : cmds) {
-    if (cmd.args.empty()) {
-      server::AppendError(out, "ERR empty command");
-      continue;
-    }
-    const Slice& name = cmd.args[0];
-    if (EqualsUpper(name, "PING")) {
-      // Same replies as the data nodes and the proxy.
-      if (cmd.args.size() == 1) {
-        server::AppendSimpleString(out, "PONG");
-      } else if (cmd.args.size() == 2) {
-        server::AppendBulk(out, cmd.args[1]);
-      } else {
-        server::AppendWrongArity(out, "PING");
-      }
-    } else if (EqualsUpper(name, "QUIT")) {
-      server::AppendSimpleString(out, "OK");
-      *close_connection = true;
-    } else if (EqualsUpper(name, "SHUTDOWN")) {
-      server::AppendSimpleString(out, "OK");
-      *close_connection = true;
-      *shutdown_server = true;
-    } else if (EqualsUpper(name, "COMMAND")) {
-      server::AppendArrayHeader(out, 0);
-    } else if (EqualsUpper(name, "INFO")) {
-      std::string body;
-      registry_.RenderInfo(&body);
-      server::AppendBulk(out, body);
-    } else if (EqualsUpper(name, "METRICS")) {
-      std::string body;
-      registry_.RenderPrometheus(&body);
-      server::AppendBulk(out, body);
-    } else if (EqualsUpper(name, "CLUSTER")) {
-      if (cmd.args.size() < 2) {
-        server::AppendWrongArity(out, "CLUSTER");
-      } else {
-        ExecuteCluster(cmd, out);
-      }
-    } else {
-      std::string msg = "ERR unknown command '";
-      msg.append(name.data(), std::min<size_t>(name.size(), 64));
-      msg += "'";
-      server::AppendError(out, msg);
-    }
-  }
-}
-
-void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
-                                        std::string* out) {
-  const Slice& sub = cmd.args[1];
-  if (EqualsUpper(sub, "EPOCH") && cmd.args.size() == 2) {
+void CoordinatorService::Cluster(server::CommandCall& call) {
+  const std::vector<Slice>& args = call.args;
+  std::string* out = call.out;
+  const Slice& sub = args[1];
+  if (EqualsUpper(sub, "EPOCH") && args.size() == 2) {
     server::AppendInteger(out, static_cast<int64_t>(epoch()));
-  } else if (EqualsUpper(sub, "NODES") && cmd.args.size() == 2) {
+  } else if (EqualsUpper(sub, "NODES") && args.size() == 2) {
     server::AppendBulk(out, Routing().Serialize());
-  } else if (EqualsUpper(sub, "ROUTE") && cmd.args.size() == 3) {
+  } else if (EqualsUpper(sub, "ROUTE") && args.size() == 3) {
     WireRouting snapshot = Routing();
     Router router = snapshot.BuildRouter();
-    std::string shard = router.Route(cmd.args[2]);
+    std::string shard = router.Route(args[2]);
     if (shard.empty()) {
       server::AppendError(out, "CLUSTERDOWN no shards in the ring");
       return;
@@ -369,36 +326,36 @@ void CoordinatorService::ExecuteCluster(const server::RespCommand& cmd,
     server::AppendBulk(
         out, shard + " " + (master == nullptr ? "?:0" : master->endpoint()));
   } else if (EqualsUpper(sub, "ADDNODE") &&
-             (cmd.args.size() == 5 || cmd.args.size() == 7)) {
-    long port = strtol(cmd.args[4].ToString().c_str(), nullptr, 10);
-    if (port <= 0 || port > 65535) {
+             (args.size() == 5 || args.size() == 7)) {
+    int64_t port = 0;
+    if (!server::ParseArgInt(args[4], &port) || port <= 0 || port > 65535) {
       server::AppendError(out, "ERR invalid node port");
       return;
     }
     std::string replica_of;
-    if (cmd.args.size() == 7) {
-      if (!EqualsUpper(cmd.args[5], "REPLICAOF")) {
+    if (args.size() == 7) {
+      if (!EqualsUpper(args[5], "REPLICAOF")) {
         server::AppendError(out, "ERR syntax error");
         return;
       }
-      replica_of = cmd.args[6].ToString();
+      replica_of = args[6].ToString();
     }
-    Status s = AddNode(cmd.args[2].ToString(), cmd.args[3].ToString(),
+    Status s = AddNode(args[2].ToString(), args[3].ToString(),
                        static_cast<uint16_t>(port), replica_of);
     if (s.ok()) {
       server::AppendSimpleString(out, "OK");
     } else {
       server::AppendError(out, "ERR " + s.ToString());
     }
-  } else if (EqualsUpper(sub, "FAIL") && cmd.args.size() == 3) {
-    Status s = MarkFailed(cmd.args[2].ToString());
+  } else if (EqualsUpper(sub, "FAIL") && args.size() == 3) {
+    Status s = MarkFailed(args[2].ToString());
     if (s.ok()) {
       server::AppendSimpleString(out, "OK");
     } else {
       server::AppendError(out, "ERR " + s.ToString());
     }
-  } else if (EqualsUpper(sub, "RECOVER") && cmd.args.size() == 3) {
-    Status s = Recover(cmd.args[2].ToString());
+  } else if (EqualsUpper(sub, "RECOVER") && args.size() == 3) {
+    Status s = Recover(args[2].ToString());
     if (s.ok()) {
       server::AppendSimpleString(out, "OK");
     } else {

@@ -19,6 +19,10 @@
 // An optional probe thread PINGs every node and reports failures itself;
 // clients also report failures they observe (CLUSTER FAIL), so failover
 // works with probing disabled (the deterministic test configuration).
+//
+// The RESP front end is a command registry (server/command_registry.h):
+// the shared PING, INFO, METRICS, SHUTDOWN, ... answer about the
+// coordinator, and CLUSTER is the one command it adds.
 
 #ifndef TIERBASE_CLUSTER_NET_COORDINATOR_SERVICE_H_
 #define TIERBASE_CLUSTER_NET_COORDINATOR_SERVICE_H_
@@ -33,11 +37,13 @@
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/transport.h"
+#include "server/command_registry.h"
 #include "server/event_loop.h"
 
 namespace tierbase::cluster_net {
 
-class CoordinatorService {
+class CoordinatorService
+    : public server::CommandRegistry<CoordinatorService> {
  public:
   struct Options {
     std::string host = "127.0.0.1";
@@ -90,11 +96,9 @@ class CoordinatorService {
   metrics::MetricsRegistry* registry() { return &registry_; }
 
  private:
-  void Execute(const std::vector<server::RespCommand>& cmds, std::string* out,
-               bool* close_connection, bool* shutdown_server);
   /// Registers the coordinator's instruments. Called once from the ctor.
   void RegisterInstruments();
-  void ExecuteCluster(const server::RespCommand& cmd, std::string* out);
+  void Cluster(server::CommandCall& call);
   /// Best-effort CLUSTER SETSLOTS push to every healthy node.
   void PushRouting();
   /// Best-effort one-shot command to a node (REPLICAOF wiring, probes),

@@ -1,10 +1,8 @@
 #include "cluster_net/proxy.h"
 
-#include <cerrno>
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -14,37 +12,6 @@
 namespace tierbase::cluster_net {
 
 namespace {
-
-using server::EqualsUpper;
-
-/// Strict signed-integer parse of a RESP argument (mirrors the server's).
-bool ParseArgInt(const Slice& arg, int64_t* out) {
-  if (arg.empty() || arg.size() > 20) return false;
-  char buf[24];
-  memcpy(buf, arg.data(), arg.size());
-  buf[arg.size()] = '\0';
-  errno = 0;
-  char* end = nullptr;
-  long long v = strtoll(buf, &end, 10);
-  if (errno != 0 || end != buf + arg.size()) return false;
-  *out = v;
-  return true;
-}
-
-void AppendStatus(std::string* out, const Status& s) {
-  // Robustness contract: Unavailable (dead shard / open breaker) and Busy
-  // (overload shed) keep their distinct error classes on the wire so
-  // clients can tell "retry elsewhere/later" from a hard error.
-  if (s.IsUnavailable()) {
-    server::AppendError(out, "UNAVAILABLE " + s.message());
-    return;
-  }
-  if (s.IsBusy()) {
-    server::AppendError(out, "BUSY " + s.message());
-    return;
-  }
-  server::AppendError(out, "ERR " + s.ToString());
-}
 
 /// How a client command's sub-command replies fold back into its reply.
 enum class Merge : uint8_t {
@@ -71,7 +38,7 @@ void AppendMerged(const SegmentEntry& e,
   // masquerade as "the unreachable keys did not exist".
   for (size_t i = e.first; i < e.first + e.count; ++i) {
     if (!statuses[i].ok()) {
-      AppendStatus(out, statuses[i]);
+      server::AppendStatusError(out, statuses[i]);
       return;
     }
     const server::RespValue& r = replies[i];
@@ -129,6 +96,16 @@ ClusterProxy::ClusterProxy(Options options) : options_(std::move(options)) {
     if (aopts.shards == 0) aopts.shards = 4;
     analytics_ = std::make_unique<analytics::WorkloadAnalytics>(aopts);
   }
+  // The node's keyed commands, forwarded (no handler: ExecuteBatch routes
+  // every admissible one into a segment). First, as the hot lookups.
+  for (const server::CommandTable::Entry& e :
+       server::CommandTable::DataCommands()) {
+    if (e.spec.keys.first != 0) Add(e.spec, nullptr);
+  }
+  RegisterSharedCommands(&registry_, analytics_.get(), nullptr);
+  get_index_ = Find("GET");
+  set_index_ = Find("SET");
+  mget_index_ = Find("MGET");
   RegisterInstruments();
 }
 
@@ -162,9 +139,7 @@ void ClusterProxy::RegisterInstruments() {
       "Proxy", "connected_clients", "Connections currently open",
       metrics::MetricType::kGauge,
       [this] { return loop_ != nullptr ? loop_->connections_active() : 0; });
-  registry_.AddText("Proxy", "io_backend", [this] {
-    return std::string(loop_ != nullptr ? loop_->backend() : "unbound");
-  });
+  registry_.AddText("Proxy", "io_backend", [] { return "epoll"; });
   registry_.AddCallback(
       "Proxy", "io_threads", "Event-loop shards serving clients",
       metrics::MetricType::kGauge, [this] {
@@ -287,7 +262,6 @@ Status ClusterProxy::Start() {
   net.port = options_.port;
   net.io_threads = options_.io_threads;
   net.so_reuseport = options_.so_reuseport;
-  net.force_poll = options_.force_poll;
   net.backlog = options_.tcp_backlog;
   loop_ = std::make_unique<server::EventLoop>(
       net, [this](std::shared_ptr<server::Connection> conn,
@@ -338,24 +312,37 @@ void ClusterProxy::ExecuteBatch(const std::vector<server::RespCommand>& cmds,
   seg.keys.reserve(cmds.size());
   seg.entries.reserve(cmds.size());
   for (const server::RespCommand& cmd : cmds) {
-    const server::CommandKeys spec =
-        cmd.args.empty() ? server::CommandKeys()
-                         : server::CommandTable::KeysOf(cmd.args[0]);
-    if (spec.layout == server::KeyLayout::kNone ||
-        !spec.ArityOk(cmd.args.size())) {
+    const std::vector<Slice>& args = cmd.args;
+    const int index = args.empty() ? -1 : Find(args[0]);
+    if (index < 0 || spec(index).keys.first == 0 ||
+        !spec(index).ArityOk(args.size())) {
       // Answered here: the open segment's replies go first.
       SendSegment(&seg, out);
-      ExecuteLocal(cmd, spec, out, close_connection, shutdown_server);
+      if (index < 0) {
+        // Not a command the proxy serves, such as a keyless data command:
+        // answering with one arbitrary node's view would be wrong.
+        std::string msg = "ERR '";
+        if (!args.empty()) {
+          msg.append(args[0].data(), std::min<size_t>(args[0].size(), 64));
+        }
+        msg += "' is not supported through the proxy";
+        server::AppendError(out, msg);
+        continue;
+      }
+      server::CommandCall call{args, out};
+      Execute(index, call);
+      *close_connection |= call.close_connection;
+      *shutdown_server |= call.shutdown_server;
       continue;
     }
-    const std::vector<Slice>& args = cmd.args;
+    const server::KeySpec& keys = spec(index).keys;
     SegmentEntry entry{Merge::kRelay, seg.cmds.size(), 0};
-    if (spec.layout == server::KeyLayout::kFirst) {
-      if (strcmp(spec.name, "GET") == 0) RecordRead(args[1]);
-      if (strcmp(spec.name, "SET") == 0) RecordWrite(args[1], args[2].size());
+    if (keys.first == keys.last) {  // One key: relayed as is.
+      if (index == get_index_) RecordRead(args[1]);
+      if (index == set_index_) RecordWrite(args[1], args[2].size());
       seg.cmds.push_back(args);
-      seg.keys.push_back(args[1]);
-    } else if (spec.layout == server::KeyLayout::kPairs) {  // MSET.
+      seg.keys.push_back(args[keys.first]);
+    } else if (keys.step == 2) {  // MSET: one SET per key/value pair.
       entry.merge = Merge::kOk;
       for (size_t i = 1; i < args.size(); i += 2) {
         RecordWrite(args[i], args[i + 1].size());
@@ -363,7 +350,7 @@ void ClusterProxy::ExecuteBatch(const std::vector<server::RespCommand>& cmds,
         seg.keys.push_back(args[i]);
       }
     } else {  // MGET, DEL, EXISTS: one sub-command per key.
-      const bool mget = strcmp(spec.name, "MGET") == 0;
+      const bool mget = index == mget_index_;
       entry.merge = mget ? Merge::kArray : Merge::kSum;
       for (size_t i = 1; i < args.size(); ++i) {
         if (mget) RecordRead(args[i]);
@@ -391,129 +378,6 @@ void ClusterProxy::SendSegment(Segment* seg, std::string* out) {
   seg->cmds.clear();
   seg->keys.clear();
   seg->entries.clear();
-}
-
-void ClusterProxy::ExecuteLocal(const server::RespCommand& cmd,
-                                const server::CommandKeys& spec,
-                                std::string* out, bool* close_connection,
-                                bool* shutdown_server) {
-  if (cmd.args.empty()) {
-    server::AppendError(out, "ERR empty command");
-    return;
-  }
-  if (spec.name != nullptr && !spec.ArityOk(cmd.args.size())) {
-    server::AppendWrongArity(out, spec.name);
-    return;
-  }
-  const Slice& name = cmd.args[0];
-  const size_t argc = cmd.args.size();
-
-  if (EqualsUpper(name, "PING")) {
-    if (argc == 2) {
-      server::AppendBulk(out, cmd.args[1]);
-    } else {
-      server::AppendSimpleString(out, "PONG");
-    }
-    return;
-  }
-  if (EqualsUpper(name, "QUIT")) {
-    server::AppendSimpleString(out, "OK");
-    *close_connection = true;
-    return;
-  }
-  if (EqualsUpper(name, "SHUTDOWN")) {
-    // Shuts the proxy down, not the data nodes.
-    server::AppendSimpleString(out, "OK");
-    *close_connection = true;
-    *shutdown_server = true;
-    return;
-  }
-  if (EqualsUpper(name, "COMMAND")) {
-    server::AppendArrayHeader(out, 0);
-    return;
-  }
-  if (EqualsUpper(name, "INFO")) {
-    Info(out);
-    return;
-  }
-  if (EqualsUpper(name, "METRICS")) {
-    std::string body;
-    registry_.RenderPrometheus(&body);
-    server::AppendBulk(out, body);
-    return;
-  }
-  if (EqualsUpper(name, "ANALYTICS")) {
-    Analytics(cmd, out);
-    return;
-  }
-  if (EqualsUpper(name, "HOTKEYS")) {
-    HotKeys(cmd, out);
-    return;
-  }
-  // Keyless commands (SCAN, DBSIZE, FLUSHALL, SLOWLOG, LATENCY, PERF,
-  // CLUSTER, WAIT, ...) have no owner to route to; answering with one
-  // arbitrary node's view would be wrong.
-  std::string msg = "ERR '";
-  msg.append(name.data(), std::min<size_t>(name.size(), 64));
-  msg += "' is not supported through the proxy";
-  server::AppendError(out, msg);
-}
-
-void ClusterProxy::Info(std::string* out) {
-  std::string body;
-  registry_.RenderInfo(&body);
-  server::AppendBulk(out, body);
-}
-
-void ClusterProxy::Analytics(const server::RespCommand& cmd,
-                             std::string* out) {
-  if (analytics_ == nullptr) {
-    server::AppendError(
-        out, "ERR analytics disabled (proxy started with --no-analytics)");
-    return;
-  }
-  if (EqualsUpper(cmd.args[1], "MRC")) {
-    int shard = -1;
-    if (cmd.args.size() == 3) {
-      int64_t v = 0;
-      if (!ParseArgInt(cmd.args[2], &v) || v < 0 ||
-          v >= analytics_->shards()) {
-        server::AppendError(out, "ERR shard index out of range");
-        return;
-      }
-      shard = static_cast<int>(v);
-    }
-    server::AppendBulk(out, analytics::FormatMrcReport(
-                                analytics_->Mrc(shard), analytics_->shards()));
-    return;
-  }
-  if (EqualsUpper(cmd.args[1], "RESET")) {
-    analytics_->Reset();
-    server::AppendSimpleString(out, "OK");
-    return;
-  }
-  server::AppendError(out, "ERR unknown ANALYTICS subcommand, try MRC|RESET");
-}
-
-void ClusterProxy::HotKeys(const server::RespCommand& cmd, std::string* out) {
-  if (analytics_ == nullptr) {
-    server::AppendError(
-        out, "ERR analytics disabled (proxy started with --no-analytics)");
-    return;
-  }
-  int64_t k = 10;
-  if (cmd.args.size() == 2 &&
-      (!ParseArgInt(cmd.args[1], &k) || k <= 0 || k > 10'000)) {
-    server::AppendError(out, "ERR value is not an integer or out of range");
-    return;
-  }
-  std::vector<analytics::HotKey> top =
-      analytics_->TopKeys(static_cast<size_t>(k));
-  server::AppendArrayHeader(out, top.size() * 2);
-  for (const analytics::HotKey& h : top) {
-    server::AppendBulk(out, h.key);
-    server::AppendInteger(out, static_cast<int64_t>(h.count));
-  }
 }
 
 }  // namespace tierbase::cluster_net

@@ -5,16 +5,19 @@
 // NetClusterClient.
 //
 // The proxy rides the server's multi-reactor event loop and executor: a
-// client's pipelined commands arrive as one batch. Every keyed command
-// (the server's command table says which arguments are keys) joins the
-// batch's open segment; MGET/MSET/DEL/EXISTS join as one sub-command per
-// key, and their replies merge back (an array, +OK, a summed integer). A
-// command the proxy answers itself (PING, INFO, METRICS, ...) first sends
-// the open segment, so replies keep client order. Sending a segment is
-// one NetClusterClient::ForwardBatch: one pipelined round trip per node it
-// touches, however the batch mixes its commands. Keyless data commands
-// (SCAN, DBSIZE, FLUSHALL, SLOWLOG, ...) have no single owner and are
-// refused with "-ERR '<name>' is not supported through the proxy".
+// client's pipelined commands arrive as one batch. Its command registry
+// (server/command_registry.h) holds the shared commands (PING, INFO,
+// METRICS, ...), which it answers about itself, and the data node's keyed
+// commands, registered from the node's own specs without a handler: each
+// one joins the batch's open segment, routed by its key spec.
+// MGET/MSET/DEL/EXISTS join as one sub-command per key, and their replies
+// merge back (an array, +OK, a summed integer). A command the proxy
+// answers itself first sends the open segment, so replies keep client
+// order. Sending a segment is one NetClusterClient::ForwardBatch: one
+// pipelined round trip per node it touches, however the batch mixes its
+// commands. Commands outside the registry — the node's keyless data
+// commands (SCAN, DBSIZE, FLUSHALL, SLOWLOG, ...) have no single owner —
+// are refused with "-ERR '<name>' is not supported through the proxy".
 //
 // Smart-client vs proxy trade-off (README "Running a cluster"): the smart
 // client saves a network hop and spreads client-side, the proxy
@@ -33,13 +36,13 @@
 #include "analytics/workload_analytics.h"
 #include "cluster_net/cluster_client.h"
 #include "common/metrics.h"
-#include "server/command.h"
+#include "server/command_registry.h"
 #include "server/event_loop.h"
 #include "threading/elastic_executor.h"
 
 namespace tierbase::cluster_net {
 
-class ClusterProxy {
+class ClusterProxy : public server::CommandRegistry<ClusterProxy> {
  public:
   struct Options {
     std::string host = "127.0.0.1";
@@ -51,8 +54,6 @@ class ClusterProxy {
     int io_threads = 1;
     /// Per-loop SO_REUSEPORT listeners instead of accept-distribute.
     bool so_reuseport = false;
-    /// Portable poll(2) backend even where epoll is available.
-    bool force_poll = false;
     /// listen(2) backlog (--tcp-backlog).
     int tcp_backlog = 128;
     NetClusterClient::Options backend;
@@ -96,14 +97,6 @@ class ClusterProxy {
   /// Ships the open segment as one ForwardBatch, appends its merged
   /// replies in order, and empties it.
   void SendSegment(Segment* seg, std::string* out);
-  /// A command the proxy answers itself: PING, INFO, arity errors, the
-  /// keyless-command error, ...
-  void ExecuteLocal(const server::RespCommand& cmd,
-                    const server::CommandKeys& spec, std::string* out,
-                    bool* close_connection, bool* shutdown_server);
-  void Info(std::string* out);
-  void Analytics(const server::RespCommand& cmd, std::string* out);
-  void HotKeys(const server::RespCommand& cmd, std::string* out);
   /// Registers the proxy's instruments. Called once from the ctor.
   void RegisterInstruments();
 
@@ -124,6 +117,10 @@ class ClusterProxy {
   metrics::Counter* batches_ = nullptr;
   metrics::Counter* coalesced_ = nullptr;
   metrics::LatencyHistogram* fanout_hist_ = nullptr;
+  // Registry indexes the routed path treats specially.
+  int get_index_ = -1;   // Feeds the observatory a read.
+  int set_index_ = -1;   // Feeds it a write.
+  int mget_index_ = -1;  // Merges into an array, not a sum.
 
   // One backend-stats snapshot per registry render (pre-render hook);
   // written and read only inside registry renders, which the registry

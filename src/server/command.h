@@ -1,4 +1,6 @@
-// Command dispatch: maps RESP command names onto the TierBase engine API.
+// CommandTable: the data node's commands, registered in the one
+// CommandRegistry (command_registry.h) next to the shared PING/INFO/...
+// vocabulary, and mapped onto the TierBase engine API.
 //
 // A batch of pipelined commands is executed in one call. Runs of
 // consecutive plain GETs (and plain two-argument SETs) inside a batch are
@@ -12,10 +14,13 @@
 // marking). Rich-type and TTL commands operate on the cache tier engine,
 // which is where those types live in this reproduction.
 //
+// In cluster mode every keyed command is admitted by its key spec first:
+// -READONLY for writes on a replica, -MOVED for a key another shard owns.
+//
 // Telemetry. The table owns this server's MetricsRegistry: every command
-// family gets a LatencyHistogram (measured dispatch -> reply, including
-// cluster admission), commands slower than the SLOWLOG threshold enter the
-// slow log with value arguments redacted to key names, and INFO / METRICS
+// gets a LatencyHistogram (measured dispatch -> reply, including cluster
+// admission), commands slower than the SLOWLOG threshold enter the slow
+// log with arguments redacted to the key spec's keys, and INFO / METRICS
 // render straight from the registry. PERF ON|OFF|GET drives the
 // per-connection PerfContext (see common/perf_context.h); the state
 // travels in via PerfState because the table is shared across executor
@@ -30,8 +35,8 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/perf_context.h"
 #include "core/tierbase.h"
+#include "server/command_registry.h"
 #include "server/resp.h"
 #include "server/slowlog.h"
 
@@ -42,15 +47,6 @@ class NodeClusterState;
 
 namespace server {
 
-/// Per-connection perf-tracing state, owned by the dispatcher (the Server
-/// keeps one per connection) and handed to ExecuteBatch. Plain fields:
-/// only one batch per connection is in flight, and consecutive batches are
-/// ordered through the executor queue.
-struct PerfState {
-  bool enabled = false;
-  metrics::PerfContext ctx;
-};
-
 /// Batch timing measured upstream of execution (event loop + dispatch
 /// queue), attributed to the parse / queue_wait perf stages.
 struct BatchTiming {
@@ -59,33 +55,11 @@ struct BatchTiming {
   uint64_t dispatched_at_micros = 0;
 };
 
-/// Where a table command's keys sit, from its spec flags: the routing
-/// view front ends that forward by key (the proxy) use instead of a
-/// command list of their own.
-enum class KeyLayout : uint8_t {
-  kNone,   // Keyless, answered locally, or not a table command.
-  kFirst,  // args[1] (GET, SET, INCR, HSET, ...).
-  kAll,    // args[1..] (MGET, DEL, EXISTS).
-  kPairs,  // args[1], args[3], ... (MSET).
-};
-
-struct CommandKeys {
-  const char* name = nullptr;  // Upper-case table name; null if unknown.
-  KeyLayout layout = KeyLayout::kNone;
-  size_t min_argc = 0;
-  size_t max_argc = 0;  // 0 = unbounded.
-
-  /// Arity (and MSET's key/value pairing) as the table checks it.
-  bool ArityOk(size_t argc) const {
-    return argc >= min_argc && (max_argc == 0 || argc <= max_argc) &&
-           (layout != KeyLayout::kPairs || argc % 2 == 1);
-  }
-};
-
-class CommandTable {
+class CommandTable : public CommandRegistry<CommandTable> {
  public:
-  /// Looks `name` up (any case) in the dispatch table.
-  static CommandKeys KeysOf(const Slice& name);
+  /// The node's own commands (everything but the shared ones), in
+  /// registration order. The proxy forwards the keyed ones by these specs.
+  static const std::vector<Entry>& DataCommands();
 
   /// `db` is not owned and must outlive the table.
   explicit CommandTable(TierBase* db);
@@ -129,69 +103,53 @@ class CommandTable {
   uint64_t errors() const { return errors_->value(); }
 
  private:
-  struct Spec {
-    const char* name;
-    size_t min_argc;
-    size_t max_argc;  // 0 = unbounded.
-    void (CommandTable::*handler)(const RespCommand&, std::string*);
-    uint8_t flags;
-  };
-  static const Spec kSpecs[];
-  static const size_t kNumSpecs;
+  /// Times one command, records its histogram and the slow log, then
+  /// delegates to ExecuteOneImpl.
+  void ExecuteOne(CommandCall& call);
+  /// Dispatches without telemetry bookkeeping; returns the registry index
+  /// used, or -1 for an unknown command.
+  int ExecuteOneImpl(CommandCall& call);
 
-  /// Times one command, records its family histogram and the slow log,
-  /// then delegates to ExecuteOneImpl.
-  void ExecuteOne(const RespCommand& cmd, std::string* out,
-                  bool* close_connection, bool* shutdown_server,
-                  PerfState* perf);
-  /// Dispatches without telemetry bookkeeping. Sets *spec_index to the
-  /// kSpecs row used, or -1 for pre-table commands (PING/QUIT/...).
-  void ExecuteOneImpl(const RespCommand& cmd, std::string* out,
-                      bool* close_connection, bool* shutdown_server,
-                      PerfState* perf, int* spec_index);
+  // Individual command implementations (call.args already arity-checked
+  // against the spec and admitted by the cluster gate).
+  void Get(CommandCall& call);
+  void Set(CommandCall& call);
+  void Del(CommandCall& call);
+  void Exists(CommandCall& call);
+  void MGet(CommandCall& call);
+  void MSet(CommandCall& call);
+  void Expire(CommandCall& call);
+  void Ttl(CommandCall& call);
+  void Incr(CommandCall& call);
+  void HSet(CommandCall& call);
+  void HGet(CommandCall& call);
+  void LPush(CommandCall& call);
+  void LRange(CommandCall& call);
+  void ZAdd(CommandCall& call);
+  void ZRange(CommandCall& call);
+  void Scan(CommandCall& call);
+  void DbSize(CommandCall& call);
+  void FlushAll(CommandCall& call);
+  void Cluster(CommandCall& call);
+  void ReplicaOf(CommandCall& call);
+  void ReplPull(CommandCall& call);
+  void ReplSnapshot(CommandCall& call);
+  void Wait(CommandCall& call);
+  void SlowLogCmd(CommandCall& call);
+  void Latency(CommandCall& call);
+  void Perf(CommandCall& call);
 
-  // Individual command implementations (cmd.args already arity-checked
-  // against the table entry).
-  void Get(const RespCommand& cmd, std::string* out);
-  void Set(const RespCommand& cmd, std::string* out);
-  void Del(const RespCommand& cmd, std::string* out);
-  void Exists(const RespCommand& cmd, std::string* out);
-  void MGet(const RespCommand& cmd, std::string* out);
-  void MSet(const RespCommand& cmd, std::string* out);
-  void Expire(const RespCommand& cmd, std::string* out);
-  void Ttl(const RespCommand& cmd, std::string* out);
-  void Incr(const RespCommand& cmd, std::string* out);
-  void HSet(const RespCommand& cmd, std::string* out);
-  void HGet(const RespCommand& cmd, std::string* out);
-  void LPush(const RespCommand& cmd, std::string* out);
-  void LRange(const RespCommand& cmd, std::string* out);
-  void ZAdd(const RespCommand& cmd, std::string* out);
-  void ZRange(const RespCommand& cmd, std::string* out);
-  void Info(const RespCommand& cmd, std::string* out);
-  void Scan(const RespCommand& cmd, std::string* out);
-  void DbSize(const RespCommand& cmd, std::string* out);
-  void FlushAll(const RespCommand& cmd, std::string* out);
-  void Cluster(const RespCommand& cmd, std::string* out);
-  void ReplicaOf(const RespCommand& cmd, std::string* out);
-  void ReplPull(const RespCommand& cmd, std::string* out);
-  void ReplSnapshot(const RespCommand& cmd, std::string* out);
-  void Wait(const RespCommand& cmd, std::string* out);
-  void SlowLogCmd(const RespCommand& cmd, std::string* out);
-  void Latency(const RespCommand& cmd, std::string* out);
-  void Metrics(const RespCommand& cmd, std::string* out);
-  void Analytics(const RespCommand& cmd, std::string* out);
-  void HotKeys(const RespCommand& cmd, std::string* out);
-
-  /// Registers the registry entries (sections, stats callbacks, and one
-  /// latency histogram per command family). Called once from the ctor.
+  /// Registers the metrics registry entries (sections, stats callbacks,
+  /// and one latency histogram per registered command). Called once from
+  /// the ctor, after the commands.
   void RegisterInstruments();
 
-  /// Records one command family's latency sample: `micros` observed by
-  /// `count` commands (a coalesced train shares the train's elapsed time).
-  /// `spec_index` -1 = the pre-table/unknown family.
-  void RecordLatency(int spec_index, uint64_t micros, uint64_t count);
-  /// Logs a slow command with its arguments redacted to keys.
-  void RecordSlow(const RespCommand& cmd, uint8_t flags, uint64_t micros);
+  /// Records one command's latency sample: `micros` observed by `count`
+  /// commands (a coalesced train shares the train's elapsed time). `index`
+  /// -1 = an unknown command.
+  void RecordLatency(int index, uint64_t micros, uint64_t count);
+  /// Logs a slow command with its arguments redacted to its keys.
+  void RecordSlow(const std::vector<Slice>& args, int index, uint64_t micros);
   /// Logs a slow coalesced train as one redacted entry.
   void RecordSlowTrain(const std::vector<RespCommand>& cmds, size_t begin,
                        size_t end, uint64_t micros);
@@ -199,7 +157,8 @@ class CommandTable {
   /// Cluster gate shared by every keyed handler: emits -READONLY for
   /// writes on a replica and -MOVED for misrouted keys. Returns false when
   /// an error was emitted (the command must not execute).
-  bool ClusterAdmits(const RespCommand& cmd, uint8_t flags, std::string* out);
+  bool ClusterAdmits(const std::vector<Slice>& args, const CommandSpec& spec,
+                     std::string* out);
 
   /// Executes cmds[begin..end) single GETs as one MultiGet.
   void CoalescedGets(const std::vector<RespCommand>& cmds, size_t begin,
@@ -221,11 +180,11 @@ class CommandTable {
   metrics::Counter* coalesced_ = nullptr;
   metrics::Counter* errors_ = nullptr;
 
-  // One histogram per kSpecs row, plus [kNumSpecs] for the pre-table /
-  // unknown family ("cmd_other_latency_us").
+  // One histogram per registered command, plus a last one for unknown
+  // commands ("cmd_other_latency_us").
   std::vector<metrics::LatencyHistogram*> cmd_hist_;
-  int get_spec_index_ = -1;  // Rows used by the coalesced trains.
-  int set_spec_index_ = -1;
+  int get_index_ = -1;  // Commands the coalesced trains stand for.
+  int set_index_ = -1;
 
   // One TierBase::Stats snapshot per registry render, taken by a
   // pre-render hook so the ~30 per-key callbacks don't each re-aggregate.
@@ -233,14 +192,6 @@ class CommandTable {
   // registry renders, which the registry serializes.
   TierBase::Stats info_stats_;
 };
-
-/// Appends "-ERR wrong number of arguments for '<name>' command".
-void AppendWrongArity(std::string* out, const char* upper_name);
-
-/// Appends a `-...` RESP error translated from a Status (WrongType maps to
-/// -WRONGTYPE, Unavailable to -UNAVAILABLE, Busy to -BUSY, everything else
-/// to -ERR <code>: <msg>).
-void AppendStatusError(std::string* out, const Status& s);
 
 }  // namespace server
 }  // namespace tierbase

