@@ -22,7 +22,7 @@ void BM_Coalescer(benchmark::State& state) {
   // value is collapsing redundant remote writes.
   std::atomic<uint64_t> storage_writes{0};
   PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
+      [&](const std::vector<PerKeyCoalescer::BatchWrite>&) {
         storage_writes.fetch_add(1, std::memory_order_relaxed);
         BusySpinNanos(20'000);  // 20us simulated storage RTT.
         return Status::OK();

@@ -21,14 +21,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "cluster_net/coordinator_service.h"
 #include "common/env.h"
+#include "server/command_registry.h"
 
 using namespace tierbase;
 
 namespace {
+
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
 
 cluster_net::CoordinatorService* g_service = nullptr;
 
@@ -60,23 +64,30 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict decimal in [lo, hi]; anything else is a usage error.
+    auto next_int = [&](const char* flag, int64_t lo, int64_t hi) {
+      int64_t v = 0;
+      if (!server::ParseArgInt(next(flag), &v) || v < lo || v > hi) {
+        fprintf(stderr, "%s needs an integer in [%lld, %lld]\n", flag,
+                static_cast<long long>(lo), static_cast<long long>(hi));
+        exit(2);
+      }
+      return v;
+    };
     if (strcmp(argv[i], "--host") == 0) {
       options.host = next("--host");
     } else if (strcmp(argv[i], "--port") == 0) {
-      options.port = static_cast<uint16_t>(atoi(next("--port")));
+      options.port = static_cast<uint16_t>(next_int("--port", 0, 65535));
     } else if (strcmp(argv[i], "--port-file") == 0) {
       port_file = next("--port-file");
     } else if (strcmp(argv[i], "--vnodes") == 0) {
-      options.virtual_nodes = atoi(next("--vnodes"));
+      options.virtual_nodes = static_cast<int>(
+          next_int("--vnodes", 1, cluster_net::kMaxVirtualNodes));
     } else if (strcmp(argv[i], "--probe-interval-ms") == 0) {
-      probe_ms = atoi(next("--probe-interval-ms"));
+      probe_ms = static_cast<int>(next_int("--probe-interval-ms", 0, kMaxInt));
     } else {
       return Usage(argv[0]);
     }
-  }
-  if (options.virtual_nodes <= 0 ||
-      options.virtual_nodes > cluster_net::kMaxVirtualNodes || probe_ms < 0) {
-    return Usage(argv[0]);
   }
   options.probe_interval_micros = static_cast<uint64_t>(probe_ms) * 1000;
 

@@ -26,15 +26,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "cluster_net/proxy.h"
 #include "common/env.h"
+#include "server/command_registry.h"
 
 using namespace tierbase;
 
 namespace {
+
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 
 cluster_net::ClusterProxy* g_proxy = nullptr;
 
@@ -68,6 +73,16 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict decimal in [lo, hi]; anything else is a usage error.
+    auto next_int = [&](const char* flag, int64_t lo, int64_t hi) {
+      int64_t v = 0;
+      if (!server::ParseArgInt(next(flag), &v) || v < lo || v > hi) {
+        fprintf(stderr, "%s needs an integer in [%lld, %lld]\n", flag,
+                static_cast<long long>(lo), static_cast<long long>(hi));
+        exit(2);
+      }
+      return v;
+    };
     if (strcmp(argv[i], "--coordinator") == 0) {
       std::stringstream specs(next("--coordinator"));
       std::string spec;
@@ -77,25 +92,24 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--host") == 0) {
       options.host = next("--host");
     } else if (strcmp(argv[i], "--port") == 0) {
-      options.port = static_cast<uint16_t>(atoi(next("--port")));
+      options.port = static_cast<uint16_t>(next_int("--port", 0, 65535));
     } else if (strcmp(argv[i], "--port-file") == 0) {
       port_file = next("--port-file");
     } else if (strcmp(argv[i], "--max-threads") == 0) {
-      options.executor.max_threads = atoi(next("--max-threads"));
+      options.executor.max_threads =
+          static_cast<int>(next_int("--max-threads", 1, 1024));
     } else if (strcmp(argv[i], "--io-threads") == 0) {
-      options.io_threads = atoi(next("--io-threads"));
-      if (options.io_threads < 1) return Usage(argv[0]);
+      options.io_threads = static_cast<int>(next_int("--io-threads", 1, 1024));
     } else if (strcmp(argv[i], "--so-reuseport") == 0) {
       options.so_reuseport = true;
     } else if (strcmp(argv[i], "--tcp-backlog") == 0) {
-      options.tcp_backlog = atoi(next("--tcp-backlog"));
-      if (options.tcp_backlog < 1) return Usage(argv[0]);
+      options.tcp_backlog =
+          static_cast<int>(next_int("--tcp-backlog", 1, kMaxInt));
     } else if (strcmp(argv[i], "--no-analytics") == 0) {
       options.analytics.enabled = false;
     } else if (strcmp(argv[i], "--analytics-sample-rate") == 0) {
-      int rate = atoi(next("--analytics-sample-rate"));
-      if (rate < 1) return Usage(argv[0]);
-      options.analytics.mrc_sample_rate = static_cast<uint32_t>(rate);
+      options.analytics.mrc_sample_rate = static_cast<uint32_t>(
+          next_int("--analytics-sample-rate", 1, kMaxU32));
     } else {
       return Usage(argv[0]);
     }

@@ -69,18 +69,25 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "cluster_net/node_state.h"
 #include "common/env.h"
 #include "server/client.h"
+#include "server/command_registry.h"
 #include "tierbase/server.h"
 #include "tierbase/tierbase.h"
 
 using namespace tierbase;
 
 namespace {
+
+constexpr int64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMinI64 = std::numeric_limits<int64_t>::min();
 
 server::EventLoop* g_loop = nullptr;
 
@@ -148,10 +155,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict decimal in [lo, hi]; anything else is a usage error.
+    auto next_int = [&](const char* flag, int64_t lo, int64_t hi) {
+      int64_t v = 0;
+      if (!server::ParseArgInt(next(flag), &v) || v < lo || v > hi) {
+        fprintf(stderr, "%s needs an integer in [%lld, %lld]\n", flag,
+                static_cast<long long>(lo), static_cast<long long>(hi));
+        exit(2);
+      }
+      return v;
+    };
     if (strcmp(argv[i], "--host") == 0) {
       host = next("--host");
     } else if (strcmp(argv[i], "--port") == 0) {
-      port = atoi(next("--port"));
+      port = static_cast<int>(next_int("--port", 0, 65535));
     } else if (strcmp(argv[i], "--port-file") == 0) {
       port_file = next("--port-file");
     } else if (strcmp(argv[i], "--policy") == 0) {
@@ -161,54 +178,48 @@ int main(int argc, char** argv) {
     } else if (strcmp(argv[i], "--threads") == 0) {
       threads = next("--threads");
     } else if (strcmp(argv[i], "--max-threads") == 0) {
-      max_threads = atoi(next("--max-threads"));
+      max_threads = static_cast<int>(next_int("--max-threads", 1, 1024));
     } else if (strcmp(argv[i], "--shards") == 0) {
-      shards = atoi(next("--shards"));
+      shards = static_cast<int>(next_int("--shards", 1, 65536));
     } else if (strcmp(argv[i], "--memory-budget") == 0) {
-      memory_budget = strtoull(next("--memory-budget"), nullptr, 10);
+      memory_budget = next_int("--memory-budget", 0, kMaxI64);
     } else if (strcmp(argv[i], "--wal-sync") == 0) {
       wal_sync = next("--wal-sync");
     } else if (strcmp(argv[i], "--max-clients") == 0) {
-      max_clients = strtoull(next("--max-clients"), nullptr, 10);
+      max_clients = next_int("--max-clients", 0, kMaxI64);
     } else if (strcmp(argv[i], "--max-out-buffer") == 0) {
-      max_out_buffer = strtoull(next("--max-out-buffer"), nullptr, 10);
+      max_out_buffer = next_int("--max-out-buffer", 0, kMaxI64);
     } else if (strcmp(argv[i], "--busy-watermark") == 0) {
-      busy_watermark = strtoull(next("--busy-watermark"), nullptr, 10);
+      busy_watermark = next_int("--busy-watermark", 0, kMaxI64);
     } else if (strcmp(argv[i], "--io-threads") == 0) {
-      io_threads = atoi(next("--io-threads"));
-      if (io_threads < 1) return Usage(argv[0]);
+      io_threads = static_cast<int>(next_int("--io-threads", 1, 1024));
     } else if (strcmp(argv[i], "--accept-policy") == 0) {
       accept_policy = next("--accept-policy");
     } else if (strcmp(argv[i], "--so-reuseport") == 0) {
       so_reuseport = true;
     } else if (strcmp(argv[i], "--tcp-backlog") == 0) {
-      tcp_backlog = atoi(next("--tcp-backlog"));
-      if (tcp_backlog < 1) return Usage(argv[0]);
+      tcp_backlog = static_cast<int>(next_int("--tcp-backlog", 1, kMaxInt));
     } else if (strcmp(argv[i], "--cluster-id") == 0) {
       cluster_id = next("--cluster-id");
     } else if (strcmp(argv[i], "--replicaof") == 0) {
       replicaof = next("--replicaof");
     } else if (strcmp(argv[i], "--oplog-cap") == 0) {
-      oplog_cap = strtoull(next("--oplog-cap"), nullptr, 10);
+      oplog_cap = next_int("--oplog-cap", 0, kMaxI64);
     } else if (strcmp(argv[i], "--slowlog-threshold-micros") == 0) {
-      slowlog_threshold =
-          strtoll(next("--slowlog-threshold-micros"), nullptr, 10);
+      slowlog_threshold = next_int("--slowlog-threshold-micros",
+                                   kMinI64, kMaxI64);
     } else if (strcmp(argv[i], "--no-telemetry") == 0) {
       telemetry = false;
     } else if (strcmp(argv[i], "--no-analytics") == 0) {
       analytics = false;
     } else if (strcmp(argv[i], "--analytics-sample-rate") == 0) {
-      analytics_sample_rate = strtoll(next("--analytics-sample-rate"),
-                                      nullptr, 10);
-      if (analytics_sample_rate < 1) return Usage(argv[0]);
+      analytics_sample_rate = next_int("--analytics-sample-rate", 1, kMaxU32);
     } else if (strcmp(argv[i], "--hotkey-sample-rate") == 0) {
-      hotkey_sample_rate = strtoll(next("--hotkey-sample-rate"), nullptr, 10);
-      if (hotkey_sample_rate < 1) return Usage(argv[0]);
+      hotkey_sample_rate = next_int("--hotkey-sample-rate", 1, kMaxU32);
     } else {
       return Usage(argv[0]);
     }
   }
-  if (port < 0 || port > 65535) return Usage(argv[0]);
   if (wal_sync != "interval" && wal_sync != "every") return Usage(argv[0]);
 
   TierBaseOptions options;

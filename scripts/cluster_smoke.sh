@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Cluster smoke: boots a coordinator, two masters, one replica and the
-# RESP proxy; registers the topology; checks the proxy and the coordinator
+# RESP proxy; checks that the coordinator and the proxy refuse a malformed
+# --port; registers the topology; checks the proxy and the coordinator
 # answer the shared commands as a node does; drives traffic through the
 # proxy and the smart client; kills a master mid-flight and verifies the
 # replica is promoted with no lost keys; checks SCAN/DBSIZE key placement;
@@ -54,6 +55,20 @@ wait_port_file "$WORK/n2.port" "${PIDS[2]}"
 wait_port_file "$WORK/r1.port" "${PIDS[3]}"
 CP=$(cat "$WORK/coord.port"); N1=$(cat "$WORK/n1.port")
 N2=$(cat "$WORK/n2.port");    R1=$(cat "$WORK/r1.port")
+
+# --- Numeric flags parse strictly: an out-of-range or malformed --port is
+# a usage error (exit 2), never a wrapped port. The timeout only bounds a
+# binary that wrongly starts serving; its 124 fails the check too. ---
+for bad in 70000 12ab; do
+  for cmd in "$COORD" "$PROXY --coordinator 127.0.0.1:$CP"; do
+    rc=0
+    timeout 5 $cmd --port "$bad" --port-file "$WORK/bad.port" \
+      >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || fail "$cmd --port $bad: exit $rc, want 2"
+    [ ! -e "$WORK/bad.port" ] || fail "$cmd --port $bad wrote a port file"
+  done
+done
+echo "smoke: coordinator and proxy refuse --port 70000 and --port 12ab"
 
 expect() { # expect <want> <port> <cmd...>
   local want="$1" port="$2"; shift 2

@@ -13,7 +13,7 @@ set -uo pipefail
 
 BUILD_DIR="${1:?usage: $0 <build-dir> [repeats]}"
 REPEATS="${2:-50}"
-BINARIES=(race_test server_test cluster_net_test fault_tolerance_test)
+BINARIES=(core_test race_test server_test cluster_net_test fault_tolerance_test)
 CPU_SETS=(0 0-1 0-3)
 LOG_DIR="$(mktemp -d "${TMPDIR:-/tmp}/tb_stress.XXXXXX")"
 

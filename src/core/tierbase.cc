@@ -106,11 +106,6 @@ Status TierBase::Init() {
 
     case CachingPolicy::kWriteThrough: {
       write_through_ = std::make_unique<PerKeyCoalescer>(
-          [this](const Slice& key, const Slice& value, bool is_delete) {
-            return is_delete ? storage_->Delete(key)
-                             : storage_->Write(key, value);
-          },
-          /*coalesce=*/true,
           [this](const std::vector<PerKeyCoalescer::BatchWrite>& ops) {
             std::vector<StorageAdapter::BatchOp> batch;
             batch.reserve(ops.size());
@@ -118,7 +113,10 @@ Status TierBase::Init() {
               batch.push_back({op.key, op.value, op.is_delete});
             }
             return storage_->WriteBatch(batch);
-          });
+          },
+          /*coalesce=*/true,
+          [this](const std::vector<PerKeyCoalescer::BatchWrite>& ops,
+                 const Status& s) { InstallAcked(ops, s); });
       fetcher_ = std::make_unique<DeferredFetcher>(storage_);
       break;
     }
@@ -275,64 +273,139 @@ Status TierBase::LogMutation(const Slice& key, const Slice& value,
 }
 
 Status TierBase::Set(const Slice& key, const Slice& value) {
-  return SetInternal(key, value, 0);
+  return WriteOne(key, value, 0, /*is_delete=*/false);
 }
 
 Status TierBase::SetEx(const Slice& key, const Slice& value,
                        uint64_t ttl_micros) {
-  return SetInternal(key, value, ttl_micros);
+  return WriteOne(key, value, ttl_micros, /*is_delete=*/false);
 }
 
-Status TierBase::SetInternal(const Slice& key, const Slice& value,
-                             uint64_t ttl_micros) {
-  stats_sets_.fetch_add(1, std::memory_order_relaxed);
+Status TierBase::Delete(const Slice& key) {
+  return WriteOne(key, Slice(), 0, /*is_delete=*/true);
+}
 
+void TierBase::MultiSet(const std::vector<Slice>& keys,
+                        const std::vector<Slice>& values,
+                        std::vector<Status>* statuses) {
+  ApplyWrites(keys, values, 0, /*is_delete=*/false, statuses);
+}
+
+Status TierBase::WriteOne(const Slice& key, const Slice& value,
+                          uint64_t ttl_micros, bool is_delete) {
+  std::vector<Status> statuses;
+  ApplyWrites({key}, {value}, ttl_micros, is_delete, &statuses);
+  return statuses[0];
+}
+
+void TierBase::ApplyWrites(const std::vector<Slice>& keys,
+                           const std::vector<Slice>& values,
+                           uint64_t ttl_micros, bool is_delete,
+                           std::vector<Status>* statuses) {
+  statuses->assign(keys.size(), Status::OK());
+  if (keys.empty()) return;
+  if (!is_delete) stats_sets_.fetch_add(keys.size(), std::memory_order_relaxed);
+  Persist(keys, values, ttl_micros, is_delete, statuses);
+  // Write-through installed each acknowledged op already, in its key's
+  // storage order (InstallAcked).
+  if (write_through_ == nullptr) {
+    CacheWrite(keys, values, ttl_micros, is_delete, statuses);
+  }
+}
+
+void TierBase::Persist(const std::vector<Slice>& keys,
+                       const std::vector<Slice>& values, uint64_t ttl_micros,
+                       bool is_delete, std::vector<Status>* statuses) {
   switch (options_.policy) {
     case CachingPolicy::kCacheOnly:
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
       break;
 
     case CachingPolicy::kWalFile:
     case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, /*is_delete=*/false));
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
+      // The WAL is a single append stream: log op by op.
+      for (size_t i = 0; i < keys.size(); ++i) {
+        (*statuses)[i] = LogMutation(keys[i], values[i], is_delete);
+      }
       break;
 
     case CachingPolicy::kWriteThrough: {
-      // §4.1.1: the update is held in a temporary buffer (here: the
-      // coalescer's pending slot) and only applied to the main cache after
-      // the storage tier acknowledges; on failure the cache entry is
-      // invalidated so subsequent reads fetch the authoritative value.
-      Status s;
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        s = write_through_->Write(key, value, /*is_delete=*/false);
+      // §4.1.1: the update is held in a temporary buffer (the coalescer's
+      // pending slot) and reaches the cache only once storage acknowledges
+      // it; concurrent writes to a key coalesce, and a batch goes to
+      // storage as one call.
+      std::vector<PerKeyCoalescer::BatchWrite> ops(keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ops[i] = {keys[i].ToString(), values[i].ToString(), is_delete,
+                  ttl_micros};
       }
-      if (!s.ok()) {
-        cache_->Delete(key);
-        return s;
-      }
-      TIERBASE_RETURN_IF_ERROR(cache_->SetEx(key, value, ttl_micros));
+      metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
+      write_through_->WriteBatch(std::move(ops), statuses);
       break;
     }
 
     case CachingPolicy::kWriteBack: {
-      // §4.1.2: update the cache immediately, defer the storage write.
-      Status s = cache_->SetEx(key, value, ttl_micros);
-      if (s.IsOutOfSpace()) {
-        // The cache is full of pinned dirty entries; skip the cache copy.
-        // The dirty buffer (replicated in production) serves reads until
-        // the batch flush lands, and MarkDirty's max_dirty backpressure —
-        // not a synchronous flush — bounds the backlog.
-        s = Status::OK();
-      }
-      TIERBASE_RETURN_IF_ERROR(s);
-      TIERBASE_RETURN_IF_ERROR(
-          write_back_->MarkDirty(key, value, /*is_delete=*/false));
+      // §4.1.2: record the update as dirty (a tombstone for a delete),
+      // the whole batch under one dirty-set lock; the flusher writes it to
+      // storage later. Dirty first: the cache copy is then pinned from the
+      // moment it lands, and a miss racing the write finds the dirty value
+      // instead of filling a stale one.
+      Status s = write_back_->MarkDirtyBatch(keys, values, is_delete);
+      if (!s.ok()) statuses->assign(keys.size(), s);
       break;
     }
   }
-  return Status::OK();
+}
+
+void TierBase::CacheWrite(const std::vector<Slice>& keys,
+                          const std::vector<Slice>& values,
+                          uint64_t ttl_micros, bool is_delete,
+                          std::vector<Status>* statuses) {
+  // Under a tiered policy the durable tier holds every op that got here,
+  // so the cache outcome is not the op's: a failed cache write (OutOfSpace,
+  // e.g. a cache full of pinned dirty entries) leaves no cache copy, and
+  // reads find the value in the dirty buffer or storage; deleting an
+  // uncached key is no failure either.
+  const bool report = !tiered();
+  const size_t n = keys.size();
+  if (n == 1 || is_delete || ttl_micros != 0) {
+    // One-key calls, so the cache's multi-op counters see only batches.
+    for (size_t i = 0; i < n; ++i) {
+      if (!(*statuses)[i].ok()) continue;
+      Status s = is_delete ? cache_->Delete(keys[i])
+                           : cache_->SetEx(keys[i], values[i], ttl_micros);
+      if (report) (*statuses)[i] = s;
+    }
+    return;
+  }
+  std::vector<Slice> ok_keys, ok_values;
+  std::vector<uint32_t> ok_index;
+  for (size_t i = 0; i < n; ++i) {
+    if (!(*statuses)[i].ok()) continue;
+    ok_keys.push_back(keys[i]);
+    ok_values.push_back(values[i]);
+    ok_index.push_back(static_cast<uint32_t>(i));
+  }
+  std::vector<Status> cache_statuses;
+  cache_->MultiSet(ok_keys, ok_values, &cache_statuses);
+  for (size_t m = 0; report && m < ok_index.size(); ++m) {
+    (*statuses)[ok_index[m]] = cache_statuses[m];
+  }
+}
+
+void TierBase::InstallAcked(const std::vector<PerKeyCoalescer::BatchWrite>& ops,
+                            const Status& s) {
+  // Runs under the keys' coalescer slots, so per key in storage order. A
+  // failed write invalidates: subsequent reads fetch the authoritative
+  // value. The ops of one storage call are a single drained op or come
+  // from one Persist call, so they share is_delete and the TTL.
+  std::vector<Slice> keys, values;
+  for (const auto& op : ops) {
+    keys.push_back(op.key);
+    values.push_back(op.value);
+  }
+  std::vector<Status> statuses(ops.size());
+  CacheWrite(keys, values, ops[0].ttl_micros, ops[0].is_delete || !s.ok(),
+             &statuses);
 }
 
 Status TierBase::Get(const Slice& key, std::string* value) {
@@ -348,49 +421,11 @@ Status TierBase::Get(const Slice& key, std::string* value) {
     return s;
   }
   if (!s.IsNotFound()) return s;
-
-  if (!tiered()) {
-    stats_misses_.fetch_add(1, std::memory_order_relaxed);
-    return Status::NotFound("");
-  }
-
-  // Write-back: consult the dirty buffer before declaring a miss — it is
-  // part of the cache tier (a dirty delete means the key is gone even if
-  // storage still has it; a dirty value may never have had a cache copy).
-  if (write_back_ != nullptr) {
-    std::string dirty_value;
-    bool dirty_delete = false;
-    if (write_back_->GetDirty(key, &dirty_value, &dirty_delete)) {
-      stats_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (dirty_delete) return Status::NotFound("");
-      *value = std::move(dirty_value);
-      return Status::OK();
-    }
-  }
-
-  stats_misses_.fetch_add(1, std::memory_order_relaxed);
-
-  {
-    metrics::ScopedPerfStage read_stage(metrics::PerfContext::kStorageRead);
-    s = fetcher_->Fetch(key, value);
-  }
-  if (!s.ok()) return s;
-
-  if (options_.populate_on_miss) Populate({key}, {Slice(*value)});
-  return Status::OK();
-}
-
-void TierBase::Populate(const std::vector<Slice>& keys,
-                        const std::vector<Slice>& values) {
-  // Without dirtying: these values are already durable in storage. Only
-  // where the key is still absent — a write that landed while the read was
-  // in flight stored a newer value, which the stale fill must not replace.
-  // OutOfSpace is fine too: serving from storage still works.
-  std::vector<Status> statuses;
-  cache_->MultiSetIfAbsent(keys, values, &statuses);
-  for (const Status& s : statuses) {
-    if (s.ok()) stats_populates_.fetch_add(1, std::memory_order_relaxed);
-  }
+  std::vector<std::string> values(1);
+  std::vector<Status> statuses{s};
+  ResolveMisses({key}, {0}, options_.populate_on_miss, &values, &statuses);
+  if (statuses[0].ok()) *value = std::move(values[0]);
+  return statuses[0];
 }
 
 void TierBase::MultiGet(const std::vector<Slice>& keys,
@@ -415,14 +450,18 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     // Other errors (e.g. wrong type) pass through untouched.
   }
   stats_hits_.fetch_add(hits, std::memory_order_relaxed);
+  ResolveMisses(keys, std::move(misses), options_.populate_on_miss, values,
+                statuses);
+}
 
-  if (!tiered()) {
-    stats_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
-    return;
-  }
-
+void TierBase::ResolveMisses(const std::vector<Slice>& keys,
+                             std::vector<uint32_t> misses, bool populate,
+                             std::vector<std::string>* values,
+                             std::vector<Status>* statuses) {
   // Write-back: the dirty buffer is part of the cache tier — consult it
-  // before going to storage, one dirty-set lock for the whole batch.
+  // before going to storage, one dirty-set lock for the whole batch. A
+  // dirty delete keeps NotFound: the key is gone even if storage still has
+  // it; a dirty value may never have had a cache copy.
   if (write_back_ != nullptr && !misses.empty()) {
     std::vector<Slice> miss_keys;
     miss_keys.reserve(misses.size());
@@ -434,24 +473,23 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     std::vector<uint32_t> still_missing;
     for (size_t m = 0; m < misses.size(); ++m) {
       const uint32_t i = misses[m];
-      if (dirty_found[m]) {
-        stats_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (!dirty_deletes[m]) {
-          (*values)[i] = std::move(dirty_values[m]);
-          (*statuses)[i] = Status::OK();
-        }
-        // A dirty delete keeps NotFound: the key is gone even if storage
-        // still has it.
-      } else {
+      if (!dirty_found[m]) {
         still_missing.push_back(i);
+        continue;
+      }
+      stats_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (!dirty_deletes[m]) {
+        (*values)[i] = std::move(dirty_values[m]);
+        (*statuses)[i] = Status::OK();
       }
     }
     misses.swap(still_missing);
   }
   if (misses.empty()) return;
   stats_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
+  if (!tiered()) return;
 
-  // One batched storage fetch for all remaining misses.
+  // One deferred fetch for all remaining misses (§4.1.2).
   std::vector<Slice> miss_keys;
   miss_keys.reserve(misses.size());
   for (uint32_t i : misses) miss_keys.push_back(keys[i]);
@@ -469,137 +507,36 @@ void TierBase::MultiGet(const std::vector<Slice>& keys,
     (*statuses)[i] = fetch_statuses[m];
     if (fetch_statuses[m].ok()) {
       (*values)[i] = std::move(fetched[m]);
-      if (options_.populate_on_miss) {
+      if (populate) {
         populate_keys.push_back(keys[i]);
         populate_values.push_back(Slice((*values)[i]));
       }
     }
   }
-
   Populate(populate_keys, populate_values);
 }
 
-void TierBase::MultiSet(const std::vector<Slice>& keys,
-                        const std::vector<Slice>& values,
-                        std::vector<Status>* statuses) {
-  const size_t n = keys.size();
-  stats_sets_.fetch_add(n, std::memory_order_relaxed);
-  statuses->assign(n, Status::OK());
-  if (n == 0) return;
-
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      cache_->MultiSet(keys, values, statuses);
-      break;
-
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem: {
-      // Log sequentially (the WAL is a single append stream), then apply
-      // the surviving ops to the cache as one batch.
-      std::vector<Slice> logged_keys, logged_values;
-      std::vector<uint32_t> logged_index;
-      for (size_t i = 0; i < n; ++i) {
-        Status s = LogMutation(keys[i], values[i], /*is_delete=*/false);
-        if (s.ok()) {
-          logged_keys.push_back(keys[i]);
-          logged_values.push_back(values[i]);
-          logged_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          (*statuses)[i] = s;
-        }
-      }
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(logged_keys, logged_values, &cache_statuses);
-      for (size_t m = 0; m < logged_index.size(); ++m) {
-        (*statuses)[logged_index[m]] = cache_statuses[m];
-      }
-      break;
-    }
-
-    case CachingPolicy::kWriteThrough: {
-      // §4.1.1 batched: the whole batch is coalesced into one storage
-      // call; the cache is updated only for acknowledged writes and
-      // invalidated for failed ones.
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        write_through_->WriteBatch(keys, values, statuses);
-      }
-      std::vector<Slice> ok_keys, ok_values;
-      std::vector<uint32_t> ok_index;
-      for (size_t i = 0; i < n; ++i) {
-        if ((*statuses)[i].ok()) {
-          ok_keys.push_back(keys[i]);
-          ok_values.push_back(values[i]);
-          ok_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          cache_->Delete(keys[i]);
-        }
-      }
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(ok_keys, ok_values, &cache_statuses);
-      for (size_t m = 0; m < ok_index.size(); ++m) {
-        (*statuses)[ok_index[m]] = cache_statuses[m];
-      }
-      break;
-    }
-
-    case CachingPolicy::kWriteBack: {
-      // §4.1.2 batched: update the cache immediately, then mark the whole
-      // batch dirty under one dirty-set lock acquisition.
-      std::vector<Status> cache_statuses;
-      cache_->MultiSet(keys, values, &cache_statuses);
-      std::vector<Slice> dirty_keys, dirty_values;
-      std::vector<uint32_t> dirty_index;
-      for (size_t i = 0; i < n; ++i) {
-        // OutOfSpace: the cache is full of pinned dirty entries; the dirty
-        // buffer still serves reads until the flush lands.
-        if (cache_statuses[i].ok() || cache_statuses[i].IsOutOfSpace()) {
-          dirty_keys.push_back(keys[i]);
-          dirty_values.push_back(values[i]);
-          dirty_index.push_back(static_cast<uint32_t>(i));
-        } else {
-          (*statuses)[i] = cache_statuses[i];
-        }
-      }
-      Status s = write_back_->MarkDirtyBatch(dirty_keys, dirty_values);
-      if (!s.ok()) {
-        for (uint32_t i : dirty_index) (*statuses)[i] = s;
-      }
-      break;
-    }
+void TierBase::Populate(const std::vector<Slice>& keys,
+                        const std::vector<Slice>& values) {
+  // Without dirtying: these values are already durable in storage. Only
+  // where the key is still absent — a write that landed while the read was
+  // in flight stored a newer value, which the stale fill must not replace.
+  // OutOfSpace is fine too: serving from storage still works.
+  if (keys.empty()) return;
+  std::vector<Status> statuses;
+  cache_->MultiSetIfAbsent(keys, values, &statuses);
+  for (const Status& s : statuses) {
+    if (s.ok()) stats_populates_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-Status TierBase::Delete(const Slice& key) {
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      return cache_->Delete(key);
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, Slice(), /*is_delete=*/true));
-      return cache_->Delete(key);
-    case CachingPolicy::kWriteThrough: {
-      Status s;
-      {
-        metrics::ScopedPerfStage st(metrics::PerfContext::kStorageWrite);
-        s = write_through_->Write(key, Slice(), /*is_delete=*/true);
-      }
-      if (!s.ok()) {
-        cache_->Delete(key);  // Invalidate regardless.
-        return s;
-      }
-      cache_->Delete(key);
-      return Status::OK();
-    }
-    case CachingPolicy::kWriteBack: {
-      // Keep a tombstone in the dirty set; drop the cached value.
-      TIERBASE_RETURN_IF_ERROR(
-          write_back_->MarkDirty(key, Slice(), /*is_delete=*/true));
-      cache_->Delete(key);
-      return Status::OK();
-    }
-  }
-  return Status::OK();
+bool TierBase::Exists(const Slice& key) {
+  if (cache_->Exists(key)) return true;
+  if (!tiered()) return false;
+  std::vector<std::string> values(1);
+  std::vector<Status> statuses{Status::NotFound("")};
+  ResolveMisses({key}, {0}, /*populate=*/false, &values, &statuses);
+  return statuses[0].ok();
 }
 
 Status TierBase::Cas(const Slice& key, const Slice& expected,
@@ -607,47 +544,20 @@ Status TierBase::Cas(const Slice& key, const Slice& expected,
   // Tiered modes: fetch the authoritative value into the cache first
   // (deferred cache-fetching path for update ops on missing keys, §4.1.2).
   if (tiered() && !cache_->Exists(key)) {
-    bool dirty_delete = false;
-    std::string current;
-    bool have_dirty =
-        write_back_ != nullptr &&
-        write_back_->GetDirty(key, &current, &dirty_delete);
-    bool fill = have_dirty && !dirty_delete;
-    if (!have_dirty) {
-      Status s = fetcher_->Fetch(key, &current);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      fill = s.ok();
-    }
-    if (fill) {
-      // Like a populate: never over a value a concurrent write stored.
-      std::vector<Status> ignored;
-      cache_->MultiSetIfAbsent({key}, {Slice(current)}, &ignored);
-    }
+    std::vector<std::string> current(1);
+    std::vector<Status> statuses{Status::NotFound("")};
+    ResolveMisses({key}, {0}, /*populate=*/false, &current, &statuses);
+    if (!statuses[0].ok() && !statuses[0].IsNotFound()) return statuses[0];
+    // Like a populate: never over a value a concurrent write stored.
+    if (statuses[0].ok()) Populate({key}, {Slice(current[0])});
   }
 
   TIERBASE_RETURN_IF_ERROR(cache_->Cas(key, expected, value, allow_create));
 
-  // Propagate the accepted write like a Set.
-  switch (options_.policy) {
-    case CachingPolicy::kCacheOnly:
-      break;
-    case CachingPolicy::kWalFile:
-    case CachingPolicy::kWalPmem:
-      TIERBASE_RETURN_IF_ERROR(LogMutation(key, value, false));
-      break;
-    case CachingPolicy::kWriteThrough: {
-      Status s = write_through_->Write(key, value, false);
-      if (!s.ok()) {
-        cache_->Delete(key);
-        return s;
-      }
-      break;
-    }
-    case CachingPolicy::kWriteBack:
-      TIERBASE_RETURN_IF_ERROR(write_back_->MarkDirty(key, value, false));
-      break;
-  }
-  return Status::OK();
+  // Propagate the accepted write through the durable step of a Set.
+  std::vector<Status> statuses(1);
+  Persist({key}, {value}, 0, /*is_delete=*/false, &statuses);
+  return statuses[0];
 }
 
 UsageStats TierBase::GetUsage() const {

@@ -9,13 +9,27 @@
 //   kWriteThrough  tiered, synchronous storage update (Fig 8 "wt")
 //   kWriteBack     tiered, deferred batched storage update (Fig 8 "wb")
 //
-// Write-through uses per-key write queues and write coalescing (§4.1.1);
-// write-back uses dirty tracking with batched merged flushes, backpressure,
-// and deferred cache-fetching (§4.1.2). The dual-replica reliability setup
-// of §6.4 lives a layer up: a networked replica node pulls this instance's
-// oplog over REPLICAOF/REPLPULL (src/cluster_net/node_state.h). Value
-// compression (§4.2) and PMem placement (§4.3) are configured through the
-// embedded cache engine options.
+// Every write (Set, SetEx, Delete, MultiSet) runs one path: the policy's
+// durable step, then the cache step for the ops it accepted.
+//   cache-only     no durable step
+//   WAL, WAL-PMem  append each op to the log
+//   write-through  storage first through the per-key coalescer (§4.1.1:
+//                  concurrent writes to a key coalesce, a batch is one
+//                  storage call); the cache step runs inside it, after the
+//                  storage ack and in the key's storage order
+//   write-back     mark the ops dirty (§4.1.2); the flusher writes them to
+//                  storage later in merged batches, with backpressure
+// Cas runs the same durable step after its cache compare-and-set. Every
+// read miss (Get, MultiGet, Cas, Exists) runs one path too: the write-back
+// dirty buffer, then one deferred cache-fetch (§4.1.2), then a populate
+// that never replaces a value a concurrent write stored (Exists fills
+// nothing).
+//
+// The dual-replica reliability setup of §6.4 lives a layer up: a networked
+// replica node pulls this instance's oplog over REPLICAOF/REPLPULL
+// (src/cluster_net/node_state.h). Value compression (§4.2) and PMem
+// placement (§4.3) are configured through the embedded cache engine
+// options.
 
 #ifndef TIERBASE_CORE_TIERBASE_H_
 #define TIERBASE_CORE_TIERBASE_H_
@@ -55,10 +69,10 @@ class TierBase : public KvEngine {
   void MultiGet(const std::vector<Slice>& keys,
                 std::vector<std::string>* values,
                 std::vector<Status>* statuses) override;
-  /// Batched writes under every caching policy: cache-only and WAL modes
-  /// use the cache's per-shard batching; write-through coalesces the batch
-  /// into one storage call; write-back marks the whole batch dirty under
-  /// one dirty-set lock.
+  /// Batched writes under every caching policy: the cache step is one
+  /// per-shard-batched MultiSet; write-through coalesces the batch into one
+  /// storage call; write-back marks the whole batch dirty under one
+  /// dirty-set lock.
   void MultiSet(const std::vector<Slice>& keys,
                 const std::vector<Slice>& values,
                 std::vector<Status>* statuses) override;
@@ -71,6 +85,9 @@ class TierBase : public KvEngine {
   /// fetch before comparing, per §4.1.2's update-on-missing-key path.
   Status Cas(const Slice& key, const Slice& expected, const Slice& value,
              bool allow_create = false);
+  /// Whether the key holds a value: the cache, then (write-back) the dirty
+  /// buffer, then storage. Fills nothing into the cache.
+  bool Exists(const Slice& key);
 
   /// The cache-tier engine (rich data-type ops are reachable here; they are
   /// cache-tier-only in this reproduction).
@@ -132,9 +149,32 @@ class TierBase : public KvEngine {
   Status Init();
   Status RecoverFromWal();
   Status LogMutation(const Slice& key, const Slice& value, bool is_delete);
-  Status SetInternal(const Slice& key, const Slice& value,
-                     uint64_t ttl_micros);
-  /// Fills the cache after a storage read (Get and MultiGet misses).
+  Status WriteOne(const Slice& key, const Slice& value, uint64_t ttl_micros,
+                  bool is_delete);
+  /// The one write path: sets keys[i] = values[i] (with ttl_micros) or,
+  /// when is_delete, deletes keys[i]; per-op outcomes land in statuses[i].
+  void ApplyWrites(const std::vector<Slice>& keys,
+                   const std::vector<Slice>& values, uint64_t ttl_micros,
+                   bool is_delete, std::vector<Status>* statuses);
+  /// The policy's durable step; marks the ops it fails.
+  void Persist(const std::vector<Slice>& keys,
+               const std::vector<Slice>& values, uint64_t ttl_micros,
+               bool is_delete, std::vector<Status>* statuses);
+  /// The cache step, for the ops whose status is still OK.
+  void CacheWrite(const std::vector<Slice>& keys,
+                  const std::vector<Slice>& values, uint64_t ttl_micros,
+                  bool is_delete, std::vector<Status>* statuses);
+  /// Write-through's cache step: the coalescer's ack of a storage call.
+  void InstallAcked(const std::vector<PerKeyCoalescer::BatchWrite>& ops,
+                    const Status& s);
+  /// The one miss path: resolves keys[i] for each i in `misses` (whose
+  /// statuses are NotFound) from the dirty buffer, then one deferred fetch,
+  /// then (if `populate`) fills the cache with what storage returned.
+  void ResolveMisses(const std::vector<Slice>& keys,
+                     std::vector<uint32_t> misses, bool populate,
+                     std::vector<std::string>* values,
+                     std::vector<Status>* statuses);
+  /// Fills the cache where the key is still absent.
   void Populate(const std::vector<Slice>& keys,
                 const std::vector<Slice>& values);
   bool tiered() const {

@@ -22,57 +22,43 @@ WriteBackManager::~WriteBackManager() {
   if (flusher_.joinable()) flusher_.join();
 }
 
-Status WriteBackManager::AwaitSpaceLocked(const Slice& key) {
-  if (!flush_error_.ok()) return flush_error_;
-  // Backpressure: block while the dirty set is at capacity (§4.1.2 "a
-  // backpressure mechanism is activated when dirty data approaches a
-  // predefined threshold").
-  while (dirty_.size() >= options_.max_dirty &&
-         dirty_.find(key.ToString()) == dirty_.end()) {
-    ++stats_.backpressure_waits;
-    flush_cv_.SignalAll();
-    space_cv_.Wait();
-    if (!flush_error_.ok()) return flush_error_;
-  }
-  return Status::OK();
-}
-
-void WriteBackManager::DirtyLocked(const Slice& key, const Slice& value,
-                                   bool is_delete) {
-  ++stats_.updates;
-  auto [it, inserted] = dirty_.try_emplace(key.ToString());
-  DirtyEntry& e = it->second;
-  if (inserted) {
-    e.key = &it->first;
-    e.dirtied_at = clock_->NowMicros();
-    e.older = newest_;
-    (newest_ != nullptr ? newest_->newer : oldest_) = &e;
-    newest_ = &e;
-  } else {
-    ++stats_.merged_updates;  // Keeps its place: merges, never starves.
-  }
-  e.value.assign(value.data(), value.size());
-  e.is_delete = is_delete;
-  e.gen = next_gen_++;
-}
-
 Status WriteBackManager::MarkDirty(const Slice& key, const Slice& value,
                                    bool is_delete) {
-  common::MutexLock lock(&mu_);
-  TIERBASE_RETURN_IF_ERROR(AwaitSpaceLocked(key));
-  DirtyLocked(key, value, is_delete);
-  if (dirty_.size() >= options_.flush_threshold) {
-    flush_cv_.SignalAll();
-  }
-  return Status::OK();
+  return MarkDirtyBatch({key}, {value}, is_delete);
 }
 
 Status WriteBackManager::MarkDirtyBatch(const std::vector<Slice>& keys,
-                                        const std::vector<Slice>& values) {
+                                        const std::vector<Slice>& values,
+                                        bool is_delete) {
   common::MutexLock lock(&mu_);
   for (size_t i = 0; i < keys.size(); ++i) {
-    TIERBASE_RETURN_IF_ERROR(AwaitSpaceLocked(keys[i]));
-    DirtyLocked(keys[i], values[i], /*is_delete=*/false);
+    if (!flush_error_.ok()) return flush_error_;
+    // Backpressure: block while the dirty set is at capacity and the key
+    // is not already pending (§4.1.2 "a backpressure mechanism is
+    // activated when dirty data approaches a predefined threshold").
+    while (dirty_.size() >= options_.max_dirty &&
+           dirty_.find(keys[i].ToString()) == dirty_.end()) {
+      ++stats_.backpressure_waits;
+      flush_cv_.SignalAll();
+      space_cv_.Wait();
+      if (!flush_error_.ok()) return flush_error_;
+    }
+    auto [it, inserted] = dirty_.try_emplace(keys[i].ToString());
+    ++stats_.updates;
+    DirtyEntry& e = it->second;
+    if (inserted) {
+      // A new key joins the newest end.
+      e.key = &it->first;
+      e.dirtied_at = clock_->NowMicros();
+      e.older = newest_;
+      (newest_ != nullptr ? newest_->newer : oldest_) = &e;
+      newest_ = &e;
+    } else {
+      ++stats_.merged_updates;  // Keeps its place: merges, never starves.
+    }
+    e.value.assign(values[i].data(), values[i].size());
+    e.is_delete = is_delete;
+    e.gen = next_gen_++;
   }
   if (dirty_.size() >= options_.flush_threshold) {
     flush_cv_.SignalAll();
@@ -87,11 +73,12 @@ bool WriteBackManager::IsDirty(const Slice& key) const {
 
 bool WriteBackManager::GetDirty(const Slice& key, std::string* value,
                                 bool* is_delete) const {
-  common::MutexLock lock(&mu_);
-  auto it = dirty_.find(key.ToString());
-  if (it == dirty_.end()) return false;
-  *value = it->second.value;
-  *is_delete = it->second.is_delete;
+  std::vector<bool> found, deletes;
+  std::vector<std::string> values;
+  GetDirtyBatch({key}, &found, &values, &deletes);
+  if (!found[0]) return false;
+  *value = std::move(values[0]);
+  *is_delete = deletes[0];
   return true;
 }
 

@@ -9,6 +9,13 @@
 // bounded by the flush rate, not by luck. The oldest dirty entries are
 // also the ones at the cache's LRU tail, so flushing them first unpins
 // exactly what the evictor needs.
+//
+// TierBase reaches the manager from its one write path and its one miss
+// path: Set, SetEx, Delete and MultiSet mark their ops dirty through
+// MarkDirtyBatch (tombstones for deletes) before the cache step, Cas after
+// its compare-and-set, and every miss reads pending values through
+// GetDirtyBatch before going to storage. MarkDirty and GetDirty are
+// one-key calls of those two.
 
 #ifndef TIERBASE_CORE_WRITE_BACK_H_
 #define TIERBASE_CORE_WRITE_BACK_H_
@@ -33,27 +40,29 @@ class WriteBackManager {
   ~WriteBackManager();
 
   /// Records a dirty update (latest value wins — multiple updates to the
-  /// same key merge into one storage op, "Optimizing Update" in §4.1.2).
-  /// Blocks when max_dirty is reached (backpressure).
+  /// same key merge into one storage op, "Optimizing Update" in §4.1.2):
+  /// a one-key MarkDirtyBatch.
   Status MarkDirty(const Slice& key, const Slice& value, bool is_delete);
 
-  /// Batched MarkDirty for keys[i] = values[i]: the dirty-set mutex is
-  /// taken once for the whole batch (released only while backpressure
-  /// blocks mid-batch). Flush errors are sticky, so on one the batch
-  /// aborts immediately — the remaining ops would fail identically.
+  /// Records keys[i] = values[i], or a tombstone for keys[i] when
+  /// is_delete, taking the dirty-set mutex once for the whole batch. Blocks
+  /// while max_dirty is reached (backpressure; the mutex is released while
+  /// blocked). Flush errors are sticky, so on one the batch aborts
+  /// immediately — the remaining ops would fail identically.
   Status MarkDirtyBatch(const std::vector<Slice>& keys,
-                        const std::vector<Slice>& values);
+                        const std::vector<Slice>& values, bool is_delete);
 
   /// True while the key has an unflushed update; such keys must not be
   /// evicted from the cache (the eviction filter consults this).
   bool IsDirty(const Slice& key) const;
 
-  /// Reads the dirty (not yet flushed) value if present. Lets reads see
-  /// pending writes without touching storage.
+  /// Reads the dirty (not yet flushed) value if present: a one-key
+  /// GetDirtyBatch.
   bool GetDirty(const Slice& key, std::string* value, bool* is_delete) const;
 
-  /// Batched GetDirty: one dirty-set lock acquisition for the whole
-  /// batch. found[i]/values[i]/deletes[i] are filled per key.
+  /// Reads the dirty values of a batch under one dirty-set lock
+  /// acquisition, so reads see pending writes without touching storage.
+  /// found[i]/values[i]/deletes[i] are filled per key.
   void GetDirtyBatch(const std::vector<Slice>& keys,
                      std::vector<bool>* found,
                      std::vector<std::string>* values,
@@ -96,14 +105,6 @@ class WriteBackManager {
     DirtyEntry* newer = nullptr;
     DirtyEntry* older = nullptr;
   };
-
-  /// Records one update under mu_: a new key joins the newest end, a
-  /// pending one is updated in place.
-  void DirtyLocked(const Slice& key, const Slice& value, bool is_delete)
-      EXCLUSIVE_LOCKS_REQUIRED(mu_);
-  /// Blocks while the dirty set is full and `key` is not already pending;
-  /// returns the sticky flush error if one appears.
-  Status AwaitSpaceLocked(const Slice& key) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   void FlusherLoop();
   /// Takes up to max_batch dirty entries and writes them as one batch.

@@ -4,192 +4,135 @@
 
 namespace tierbase {
 
-void PerKeyCoalescer::DrainLocked(const std::string& key, KeyState* ks) {
+Status PerKeyCoalescer::Flush(const std::vector<BatchWrite>& ops) {
+  Status s = write_fn_(ops);
+  if (on_ack_ != nullptr) on_ack_(ops, s);
+  return s;
+}
+
+void PerKeyCoalescer::FinishLocked(KeyState* ks, uint64_t gen,
+                                   const Status& s) {
+  if (s.ok()) {
+    ks->flushed_gen = std::max(ks->flushed_gen, gen);
+  } else {
+    ks->last_error = s;
+  }
+  ks->processed_gen = std::max(ks->processed_gen, gen);
+  ks->cv.SignalAll();
+}
+
+void PerKeyCoalescer::DrainLocked(KeyState* ks) {
   mu_.AssertHeld();
   while (ks->pending) {
-    std::string v = ks->latest_value;
-    bool d = ks->latest_is_delete;
-    uint64_t g = ks->latest_gen;
+    std::vector<BatchWrite> op;
+    op.push_back(std::move(ks->latest));
+    const uint64_t gen = ks->latest_gen;
     ks->pending = false;
     mu_.Unlock();
-    Status s = write_fn_(key, v, d);
+    Status s = Flush(op);
     mu_.Lock();
+    ++batch_calls_;
     ++storage_writes_;
-    if (s.ok()) {
-      ks->flushed_gen = std::max(ks->flushed_gen, g);
-    } else {
-      ks->last_error = s;
-    }
-    ks->processed_gen = std::max(ks->processed_gen, g);
-    ks->cv.SignalAll();
+    FinishLocked(ks, gen, s);
   }
 }
 
 Status PerKeyCoalescer::Write(const Slice& key, const Slice& value,
                               bool is_delete) {
-  mu_.Lock();
-  ++submitted_;
-
-  std::string key_str = key.ToString();
-  auto it = keys_.find(key_str);
-  if (it == keys_.end()) {
-    it = keys_.emplace(key_str, std::make_unique<KeyState>(&mu_)).first;
-  }
-  KeyState* ks = it->second.get();
-  const uint64_t my_gen = ks->next_gen++;
-  ++ks->waiters;
-
-  Status result;
-  if (coalesce_) {
-    ks->latest_value = value.ToString();
-    ks->latest_is_delete = is_delete;
-    ks->latest_gen = my_gen;
-    ks->pending = true;
-
-    if (!ks->in_flight) {
-      // Leader: flush the latest pending value until none is newer. Each
-      // storage write covers every generation at or below the one written.
-      ks->in_flight = true;
-      DrainLocked(key_str, ks);
-      ks->in_flight = false;
-      ks->cv.SignalAll();
-    } else {
-      while (ks->processed_gen < my_gen) ks->cv.Wait();
-    }
-    result = ks->flushed_gen >= my_gen
-                 ? Status::OK()
-                 : (ks->last_error.ok()
-                        ? Status::IOError("write-through failed")
-                        : ks->last_error);
-  } else {
-    // No coalescing: one storage write per update, per-key FIFO order.
-    std::string v = value.ToString();
-    while (!(ks->processed_gen == my_gen - 1 && !ks->in_flight)) {
-      ks->cv.Wait();
-    }
-    ks->in_flight = true;
-    mu_.Unlock();
-    Status s = write_fn_(key_str, v, is_delete);
-    mu_.Lock();
-    ++storage_writes_;
-    ks->processed_gen = my_gen;
-    if (s.ok()) ks->flushed_gen = my_gen;
-    ks->in_flight = false;
-    ks->cv.SignalAll();
-    result = s;
-  }
-
-  --ks->waiters;
-  if (ks->waiters == 0 && !ks->in_flight && !ks->pending) {
-    keys_.erase(key_str);
-  }
-  mu_.Unlock();
-  return result;
+  std::vector<BatchWrite> ops(1);
+  ops[0].key = key.ToString();
+  ops[0].value = value.ToString();
+  ops[0].is_delete = is_delete;
+  std::vector<Status> statuses;
+  WriteBatch(std::move(ops), &statuses);
+  return statuses[0];
 }
 
-void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
-                                 const std::vector<Slice>& values,
+void PerKeyCoalescer::WriteBatch(std::vector<BatchWrite> ops,
                                  std::vector<Status>* statuses) {
-  const size_t n = keys.size();
+  const size_t n = ops.size();
   statuses->assign(n, Status::OK());
   if (n == 0) return;
-  if (batch_write_fn_ == nullptr || !coalesce_) {
+  if (!coalesce_ && n > 1) {
+    // No coalescing: every op is its own storage write.
     for (size_t i = 0; i < n; ++i) {
-      (*statuses)[i] = Write(keys[i], values[i], /*is_delete=*/false);
+      std::vector<Status> one;
+      WriteBatch({std::move(ops[i])}, &one);
+      (*statuses)[i] = one[0];
     }
     return;
   }
 
   // One registration per distinct key; later ops in the batch supersede
-  // earlier ones (intra-batch coalescing, last writer wins). Keys whose
-  // leader is already flushing are delegated to that leader — it will pick
-  // up our value from the pending slot, preserving per-key order. The
-  // remaining ("owned") keys go to storage as one batched call.
+  // earlier ones (intra-batch coalescing, last writer wins).
   struct Reg {
+    const std::string* key = nullptr;  // keys_'s own copy; ops move out.
     KeyState* ks = nullptr;
+    size_t op = 0;  // The batch's last op for this key.
     uint64_t gen = 0;
-    size_t value_index = 0;
     bool delegated = false;
   };
   std::vector<Reg> regs;
-  std::vector<std::string> reg_keys;
-  std::unordered_map<std::string, size_t> reg_of;  // key → regs index.
+  std::unordered_map<KeyState*, size_t> reg_of;
   std::vector<size_t> reg_for_op(n);
 
   mu_.Lock();
   submitted_ += n;
   for (size_t i = 0; i < n; ++i) {
-    std::string k = keys[i].ToString();
-    auto [it, inserted] = reg_of.emplace(std::move(k), regs.size());
-    if (inserted) {
-      auto key_it = keys_.find(it->first);
-      if (key_it == keys_.end()) {
-        key_it =
-            keys_.emplace(it->first, std::make_unique<KeyState>(&mu_)).first;
-      }
-      Reg r;
-      r.ks = key_it->second.get();
-      ++r.ks->waiters;
-      r.value_index = i;
-      regs.push_back(r);
-      reg_keys.push_back(it->first);
-    } else {
-      regs[it->second].value_index = i;
+    auto it = keys_.find(ops[i].key);
+    if (it == keys_.end()) {
+      it = keys_.emplace(ops[i].key, std::make_unique<KeyState>(&mu_)).first;
     }
-    reg_for_op[i] = it->second;
+    auto [r, inserted] = reg_of.emplace(it->second.get(), regs.size());
+    if (inserted) {
+      regs.push_back({&it->first, it->second.get()});
+      ++regs.back().ks->waiters;
+    }
+    regs[r->second].op = i;
+    reg_for_op[i] = r->second;
   }
 
+  // Take the slot of every free key and write those ops as one batch. A
+  // key whose slot is held is left to its leader, which picks the op up
+  // from the pending slot (without coalescing: wait for the slot instead,
+  // in generation order).
   std::vector<BatchWrite> batch;
-  for (size_t r = 0; r < regs.size(); ++r) {
-    Reg& reg = regs[r];
-    reg.gen = reg.ks->next_gen++;
-    reg.ks->latest_value = values[reg.value_index].ToString();
-    reg.ks->latest_is_delete = false;
-    reg.ks->latest_gen = reg.gen;
-    if (reg.ks->in_flight) {
-      // An active leader will flush this value; wait for it below.
-      reg.ks->pending = true;
+  for (Reg& reg : regs) {
+    KeyState* ks = reg.ks;
+    reg.gen = ks->next_gen++;
+    while (!coalesce_ && (ks->in_flight || ks->processed_gen + 1 != reg.gen)) {
+      ks->cv.Wait();
+    }
+    if (ks->in_flight) {
+      ks->latest = std::move(ops[reg.op]);
+      ks->latest_gen = reg.gen;
+      ks->pending = true;
       reg.delegated = true;
     } else {
-      // We flush it ourselves as part of the batch. pending stays false so
-      // the value isn't flushed twice; a write arriving while the batch is
-      // on the wire sets pending again and we drain it afterwards.
-      reg.ks->in_flight = true;
-      reg.ks->pending = false;
-      batch.push_back({reg_keys[r], reg.ks->latest_value, false});
+      ks->in_flight = true;
+      batch.push_back(std::move(ops[reg.op]));
     }
   }
 
   if (!batch.empty()) {
     mu_.Unlock();
-    Status s = batch_write_fn_(batch);
+    Status s = Flush(batch);
     mu_.Lock();
     ++batch_calls_;
     storage_writes_ += batch.size();
-    for (size_t r = 0; r < regs.size(); ++r) {
-      Reg& reg = regs[r];
+    for (Reg& reg : regs) {
       if (reg.delegated) continue;
-      if (s.ok()) {
-        reg.ks->flushed_gen = std::max(reg.ks->flushed_gen, reg.gen);
-      } else {
-        reg.ks->last_error = s;
-      }
-      reg.ks->processed_gen = std::max(reg.ks->processed_gen, reg.gen);
-      reg.ks->cv.SignalAll();
-      // Serve any writers that queued behind the batch, then step down.
-      DrainLocked(reg_keys[r], reg.ks);
+      FinishLocked(reg.ks, reg.gen, s);
+      // Serve writers that queued behind the batch, then free the slot.
+      DrainLocked(reg.ks);
       reg.ks->in_flight = false;
       reg.ks->cv.SignalAll();
     }
   }
 
-  for (size_t r = 0; r < regs.size(); ++r) {
-    Reg& reg = regs[r];
-    if (reg.delegated) {
-      while (reg.ks->processed_gen < reg.gen) reg.ks->cv.Wait();
-    }
+  for (const Reg& reg : regs) {
+    while (reg.ks->processed_gen < reg.gen) reg.ks->cv.Wait();
   }
-
   for (size_t i = 0; i < n; ++i) {
     const Reg& reg = regs[reg_for_op[i]];
     (*statuses)[i] =
@@ -199,11 +142,10 @@ void PerKeyCoalescer::WriteBatch(const std::vector<Slice>& keys,
                    ? Status::IOError("write-through failed")
                    : reg.ks->last_error);
   }
-
-  for (size_t r = 0; r < regs.size(); ++r) {
-    KeyState* ks = regs[r].ks;
+  for (const Reg& reg : regs) {
+    KeyState* ks = reg.ks;
     if (--ks->waiters == 0 && !ks->in_flight && !ks->pending) {
-      keys_.erase(reg_keys[r]);
+      keys_.erase(keys_.find(*reg.key));
     }
   }
   mu_.Unlock();

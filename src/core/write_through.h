@@ -3,12 +3,18 @@
 // same key into one storage update ("similar to group commit"), lowering
 // the miss penalty PC_miss.
 //
-// PerKeyCoalescer: callers submit (key, value, generation). The first
-// caller for a key becomes the leader: it repeatedly pushes the *latest*
-// pending value to storage until no newer value is pending. Every caller
+// PerKeyCoalescer has one storage function, the batched one, and one entry
+// point, WriteBatch (Write is a one-op batch). Each key has one slot: the
+// first writer to find it free becomes the key's leader and writes its op
+// to storage, as part of its batch. Writers that find the slot taken leave
+// their op as the key's *latest* pending value, and the leader keeps
+// writing the latest pending value until none is newer. Every writer
 // returns once a storage write covering a generation >= its own has
-// succeeded, preserving write-through semantics while collapsing redundant
-// storage updates.
+// finished, so redundant updates collapse while write-through semantics
+// hold. After each storage call, still holding the slots of the keys it
+// wrote and outside the coalescer's lock, the leader runs the ack callback:
+// per key, acks come in storage order, so a cache installed there never
+// goes back to a superseded value.
 
 #ifndef TIERBASE_CORE_WRITE_THROUGH_H_
 #define TIERBASE_CORE_WRITE_THROUGH_H_
@@ -28,45 +34,43 @@ namespace tierbase {
 
 class PerKeyCoalescer {
  public:
-  /// Pushes one (key, value-or-delete) to the storage tier.
-  using StorageWriteFn =
-      std::function<Status(const Slice& key, const Slice& value,
-                           bool is_delete)>;
-
-  /// One element of a batched storage write.
+  /// One update: the key's new value, or its deletion.
   struct BatchWrite {
     std::string key;
     std::string value;
     bool is_delete = false;
+    uint64_t ttl_micros = 0;  // Passed to the ack; storage keeps no TTL.
   };
-  /// Pushes a whole batch to the storage tier in one remote call.
+  /// Pushes a batch of updates to the storage tier in one remote call.
   using BatchStorageWriteFn =
       std::function<Status(const std::vector<BatchWrite>& ops)>;
+  /// Runs after each storage call with the ops it carried and its outcome,
+  /// before their writers are released, with their key slots held and the
+  /// coalescer's lock not held.
+  using AckFn =
+      std::function<void(const std::vector<BatchWrite>& ops, const Status& s)>;
 
-  explicit PerKeyCoalescer(StorageWriteFn write_fn, bool coalesce = true,
-                           BatchStorageWriteFn batch_write_fn = nullptr)
+  explicit PerKeyCoalescer(BatchStorageWriteFn write_fn, bool coalesce = true,
+                           AckFn on_ack = nullptr)
       : write_fn_(std::move(write_fn)),
-        batch_write_fn_(std::move(batch_write_fn)),
+        on_ack_(std::move(on_ack)),
         coalesce_(coalesce) {}
 
-  /// Write-through one update. Returns after a storage write covering this
-  /// update (or a newer one for the same key) succeeds; on storage failure
-  /// returns the error.
+  /// Write-through one update: a one-op WriteBatch.
   Status Write(const Slice& key, const Slice& value, bool is_delete);
 
-  /// Write-through a batch: duplicate keys coalesce to the last value, the
-  /// surviving updates go to storage as ONE batched call, and updates to
-  /// keys with an in-flight leader are delegated to that leader (keeping
-  /// per-key ordering). Per-op outcomes land in statuses[i]. Falls back to
-  /// per-key Write when no batch function was supplied.
-  void WriteBatch(const std::vector<Slice>& keys,
-                  const std::vector<Slice>& values,
-                  std::vector<Status>* statuses);
+  /// Write-through a batch: duplicate keys coalesce to the last op, the ops
+  /// of keys with a free slot go to storage as ONE call, and ops of keys
+  /// with an active leader are left to that leader (keeping per-key order).
+  /// Returns once each op, or a newer one for its key, has been written;
+  /// per-op outcomes land in statuses[i]. Without coalescing, every op is
+  /// its own storage call, in per-key FIFO order.
+  void WriteBatch(std::vector<BatchWrite> ops, std::vector<Status>* statuses);
 
   struct Stats {
     uint64_t submitted = 0;
     uint64_t storage_writes = 0;  // submitted - storage_writes = coalesced.
-    uint64_t batch_calls = 0;     // Remote calls made by WriteBatch.
+    uint64_t batch_calls = 0;     // Storage calls made.
   };
   Stats GetStats() const;
 
@@ -80,24 +84,27 @@ class PerKeyCoalescer {
     uint64_t next_gen = 1;
     uint64_t flushed_gen = 0;    // Highest generation durably in storage.
     uint64_t processed_gen = 0;  // Highest generation whose write finished.
-    bool in_flight = false;
-    bool pending = false;       // A newer value awaits flush.
-    std::string latest_value;
-    bool latest_is_delete = false;
+    bool in_flight = false;      // The key's slot: a leader holds it.
+    bool pending = false;        // `latest` awaits the leader's flush.
+    BatchWrite latest;
     uint64_t latest_gen = 0;
     Status last_error;
     int waiters = 0;
     common::CondVar cv;
   };
 
-  /// Leader drain loop: flushes the key's latest pending value until no
-  /// newer one arrives. Requires mu_ held; releases it around storage
-  /// calls (re-held on return). The caller owns ks->in_flight.
-  void DrainLocked(const std::string& key, KeyState* ks)
+  /// The storage call and its ack; runs without mu_.
+  Status Flush(const std::vector<BatchWrite>& ops);
+  /// Records the outcome of a storage write of `ks` at `gen`.
+  void FinishLocked(KeyState* ks, uint64_t gen, const Status& s)
       EXCLUSIVE_LOCKS_REQUIRED(mu_);
+  /// Leader drain loop: flushes the key's latest pending op until no newer
+  /// one arrives. Releases mu_ around storage calls (re-held on return).
+  /// The caller holds the slot (ks->in_flight).
+  void DrainLocked(KeyState* ks) EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
-  StorageWriteFn write_fn_;
-  BatchStorageWriteFn batch_write_fn_;
+  BatchStorageWriteFn write_fn_;
+  AckFn on_ack_;
   bool coalesce_;
 
   mutable common::Mutex mu_;

@@ -578,17 +578,10 @@ void CommandTable::Del(CommandCall& call) {
   int64_t removed = 0;
   for (size_t i = 1; i < call.args.size(); ++i) {
     // Delete is policy-aware (tombstones under write-back, synchronous
-    // under write-through); count only keys that were present. For
-    // cache-cold keys the storage tier is probed directly — no value
-    // round trip through the Get path and no cache populate just to
-    // answer a count. (The probe can overcount a key whose write-back
-    // delete tombstone has not flushed yet; Redis-exact counting there
-    // would need a dirty-buffer existence API for a rare edge.)
-    bool existed = db_->cache()->Exists(call.args[i]);
-    if (!existed && db_->storage() != nullptr) {
-      std::string scratch;
-      existed = db_->storage()->Read(call.args[i], &scratch).ok();
-    }
+    // under write-through); count only keys that were present, as seen
+    // through the cache, the write-back dirty buffer and storage, without
+    // filling the cache just to answer a count.
+    const bool existed = db_->Exists(call.args[i]);
     Status s;
     {
       common::OptionalMutexLock order_lock(

@@ -241,7 +241,7 @@ TEST_F(TierBaseTest, WriteThroughCasFetchesMissingKey) {
 TEST(PerKeyCoalescerTest, AllWritersObserveSuccess) {
   std::atomic<int> storage_writes{0};
   PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
+      [&](const std::vector<PerKeyCoalescer::BatchWrite>&) {
         storage_writes.fetch_add(1);
         return Status::OK();
       },
@@ -256,7 +256,7 @@ TEST(PerKeyCoalescerTest, AllWritersObserveSuccess) {
 TEST(PerKeyCoalescerTest, ConcurrentWritesSameKeyCoalesce) {
   std::atomic<int> storage_writes{0};
   PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
+      [&](const std::vector<PerKeyCoalescer::BatchWrite>&) {
         storage_writes.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         return Status::OK();
@@ -282,7 +282,7 @@ TEST(PerKeyCoalescerTest, ConcurrentWritesSameKeyCoalesce) {
 
 TEST(PerKeyCoalescerTest, ErrorsPropagateToWaiters) {
   PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
+      [&](const std::vector<PerKeyCoalescer::BatchWrite>&) {
         return Status::IOError("storage down");
       },
       true);
@@ -293,7 +293,7 @@ TEST(PerKeyCoalescerTest, ErrorsPropagateToWaiters) {
 TEST(PerKeyCoalescerTest, DisabledCoalescingWritesEveryUpdate) {
   std::atomic<int> storage_writes{0};
   PerKeyCoalescer coalescer(
-      [&](const Slice&, const Slice&, bool) {
+      [&](const std::vector<PerKeyCoalescer::BatchWrite>&) {
         storage_writes.fetch_add(1);
         return Status::OK();
       },
@@ -855,18 +855,34 @@ TEST_P(PolicyDifferentialTest, MatchesModelUnderRandomOps) {
   std::map<std::string, std::string> model;
   for (int i = 0; i < 4000; ++i) {
     std::string key = "key" + std::to_string(rng.Uniform(300));
-    int action = static_cast<int>(rng.Uniform(10));
-    if (action < 6) {
-      std::string value = "v" + std::to_string(i);
+    std::string value = "v" + std::to_string(i);
+    auto it = model.find(key);
+    int action = static_cast<int>(rng.Uniform(12));
+    if (action < 5) {
       ASSERT_TRUE((*db)->Set(key, value).ok());
       model[key] = value;
-    } else if (action < 8) {
+    } else if (action == 5) {
+      // A TTL far beyond the run: the key must behave like a plain Set.
+      ASSERT_TRUE((*db)->SetEx(key, value, 3'600'000'000ull).ok());
+      model[key] = value;
+    } else if (action == 6) {
+      if (it == model.end()) {
+        ASSERT_TRUE((*db)->Cas(key, "", value, /*allow_create=*/true).ok())
+            << GetParam().name << " " << key;
+        model[key] = value;
+      } else if (rng.Uniform(2) == 0) {
+        ASSERT_TRUE((*db)->Cas(key, it->second, value).ok())
+            << GetParam().name << " " << key;
+        it->second = value;
+      } else {
+        ASSERT_TRUE((*db)->Cas(key, "stale", value).IsAborted())
+            << GetParam().name << " " << key;
+      }
+    } else if (action < 9) {
       (*db)->Delete(key);
       model.erase(key);
     } else {
-      std::string value;
       Status s = (*db)->Get(key, &value);
-      auto it = model.find(key);
       if (it == model.end()) {
         ASSERT_TRUE(s.IsNotFound()) << GetParam().name << " " << key;
       } else {
@@ -880,6 +896,16 @@ TEST_P(PolicyDifferentialTest, MatchesModelUnderRandomOps) {
     std::string value;
     ASSERT_TRUE((*db)->Get(key, &value).ok()) << GetParam().name << " " << key;
     ASSERT_EQ(value, expected) << GetParam().name << " " << key;
+  }
+  if (tiered) {
+    // The storage tier holds exactly the model once idle.
+    EXPECT_EQ(storage.size(), model.size()) << GetParam().name;
+    for (const auto& [key, expected] : model) {
+      std::string value;
+      ASSERT_TRUE(storage.Read(key, &value).ok())
+          << GetParam().name << " " << key;
+      ASSERT_EQ(value, expected) << GetParam().name << " " << key;
+    }
   }
   db.value().reset();
   env::RemoveDirRecursive(dir);

@@ -6,6 +6,7 @@
 //
 //   * cache eviction vs cross-shard MultiGet/MultiSet batches
 //   * the write-back FlusherLoop vs foreground Set/FlushAll
+//   * write-through writers of one hot key vs each other's cache installs
 //   * ElasticExecutor controller scale-up vs concurrent Submit/Execute
 //   * the wire-replica pull/apply thread vs concurrent reads
 //   * the server event loop vs a SHUTDOWN drain under client load
@@ -150,6 +151,67 @@ TEST(RaceTest, WriteBackFlusherVsForeground) {
   EXPECT_EQ(storage.size(), static_cast<size_t>(kWriters * 50));
   // Re-dirtying merged at least some updates into pending entries.
   EXPECT_GT(wb.GetStats().merged_updates, 0u);
+}
+
+// --- Seam 2b: write-through cache installs vs storage order. -----------
+
+// Threads mixing Set, MultiSet and Delete on one hot key over a storage
+// tier with a round trip: concurrent writes coalesce, and every writer
+// returns together once the newest value is stored. The cache must end
+// each trial holding what storage holds (or neither holding the key): a
+// writer whose value was superseded must not install it afterwards, and a
+// Set must not land in the cache after a later Delete.
+TEST(RaceTest, WriteThroughCacheFollowsStorageOrder) {
+  MockStorageAdapter inner;
+  RemoteStorageAdapter storage(&inner, /*rtt_micros=*/50);
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteThrough;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok());
+
+  constexpr int kTrials = 100;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 30;
+  int mismatches = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&db, t, trial] {
+        for (int i = 0; i < kOps; ++i) {
+          const std::string value = "v" + std::to_string(t) + "_" +
+                                    std::to_string(trial) + "_" +
+                                    std::to_string(i);
+          switch ((t + i) % 4) {
+            case 0:
+            case 1:
+              ASSERT_TRUE((*db)->Set("hot", value).ok());
+              break;
+            case 2: {
+              std::vector<Status> statuses;
+              (*db)->MultiSet({Slice("hot"), Slice(Key(t, i % 4))},
+                              {Slice(value), Slice(value)}, &statuses);
+              for (const Status& s : statuses) ASSERT_TRUE(s.ok());
+              break;
+            }
+            default:
+              ASSERT_TRUE((*db)->Delete("hot").ok());
+              break;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    std::string cached, stored;
+    const Status cs = (*db)->cache()->Get("hot", &cached);
+    const Status ss = inner.Read("hot", &stored);
+    const bool match = cs.ok() == ss.ok() && (!cs.ok() || cached == stored);
+    if (!match) ++mismatches;
+    EXPECT_TRUE(match) << "trial " << trial << ": cache "
+                       << (cs.ok() ? cached : "<absent>") << ", storage "
+                       << (ss.ok() ? stored : "<absent>");
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- Seam 3: ElasticExecutor scale-up vs Submit/Execute. ----------------

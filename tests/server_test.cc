@@ -883,6 +883,47 @@ TEST_F(ServerTest, ShutdownDrainsWriteBackTier) {
   db_.reset();
 }
 
+// DEL counts what a read would see, including the unflushed write-back
+// dirty buffer: a second DEL of a key whose tombstone has not flushed
+// answers 0, and a dirty value without a cache copy counts.
+TEST_F(ServerTest, DelCountsThroughTheWriteBackDirtyBuffer) {
+  MockStorageAdapter storage;
+  TierBaseOptions options;
+  options.policy = CachingPolicy::kWriteBack;
+  options.write_back.flush_interval_micros = 60'000'000;
+  options.write_back.flush_threshold = 1 << 30;
+  auto db = TierBase::Open(options, &storage);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::move(*db);
+  ServerOptions server_options;
+  server_options.net.port = 0;
+  srv_ = std::make_unique<Server>(db_.get(), server_options);
+  ASSERT_TRUE(srv_->Start().ok());
+
+  Client client;
+  ASSERT_TRUE(Connect(&client).ok());
+  RespValue v;
+  ASSERT_TRUE(client.Call({"SET", "k", "v"}, &v).ok());
+  ASSERT_TRUE(db_->WaitIdle().ok());  // "k" is in storage and the cache.
+  ASSERT_TRUE(client.Call({"DEL", "k"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  ASSERT_TRUE(client.Call({"DEL", "k"}, &v).ok());  // Tombstone unflushed.
+  EXPECT_EQ(0, v.integer);
+
+  ASSERT_TRUE(client.Call({"SET", "d", "v"}, &v).ok());  // Dirty only...
+  ASSERT_TRUE(db_->cache()->Delete("d").ok());            // ...no copy.
+  ASSERT_TRUE(client.Call({"DEL", "d", "never-set"}, &v).ok());
+  EXPECT_EQ(1, v.integer);
+  EXPECT_EQ(db_->GetStats().storage_populates, 0u);  // Counting fills none.
+
+  ASSERT_TRUE(client.Call({"SHUTDOWN"}, &v).ok());
+  srv_->Wait();
+  srv_->Stop();
+  EXPECT_EQ(storage.size(), 0u);  // Both tombstones flushed.
+  srv_.reset();
+  db_.reset();
+}
+
 // SHUTDOWN with a broken storage tier refuses to lose the dirty entries;
 // SHUTDOWN NOSAVE overrides.
 TEST_F(ServerTest, ShutdownAbortsWhenFlushFailsUnlessNosave) {
